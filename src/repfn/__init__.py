@@ -33,7 +33,6 @@ from .monotonicity import (
     ViolationReport,
     find_violations,
     natural_density_estimate,
-    window_nonstrict_step,
 )
 from .sets import (
     Complement,
@@ -53,14 +52,12 @@ from .sets import (
 from .witnesses import (
     DecreaseCase,
     DecreaseWitness,
-    GreedySearchResult,
     ViolationBound,
     WindowRefutation,
     almost_monotone_set,
     check_block_values,
     first_r2_decrease_bruteforce,
     predict_r2_decrease,
-    r3_monotone_greedy_search,
     refute_strict_increase,
     remove_first_powers,
     violation_bound,

@@ -26,7 +26,7 @@ from .errors import (
 from .monotonicity import find_violations, natural_density_estimate
 from .pool import DEFAULT_SEED
 from .sets import parse_set_spec
-from .witnesses import first_r2_decrease_bruteforce, predict_r2_decrease, r3_monotone_greedy_search
+from .witnesses import first_r2_decrease_bruteforce, predict_r2_decrease
 
 DEFAULT_WITNESS_SCAN = 512
 
@@ -80,12 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--format", choices=("svg", "ascii"), default="svg")
     _add_common(r)
     r.set_defaults(func=cmd_render)
-
-    s = sub.add_parser("search-r3", help="greedy search for exclusions keeping r3 monotone")
-    s.add_argument("--max", type=int, required=True, metavar="N")
-    s.add_argument("--exclusions", type=int, default=8, help="exclusion budget (default 8)")
-    _add_common(s)
-    s.set_defaults(func=cmd_search_r3)
 
     vf = sub.add_parser("verify", help="run a named verification suite")
     vf.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
@@ -164,18 +158,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
     _emit(args, render_diagram(a, args.max, args.format, budget=args.budget))
-    return 0
-
-
-def cmd_search_r3(args: argparse.Namespace) -> int:
-    result = r3_monotone_greedy_search(args.max, args.exclusions, memory_budget=args.budget)
-    obj = {
-        "set": result.prefix_set.spec(),
-        "max_n": result.max_n,
-        "excluded": list(result.excluded),
-        "verified": True,
-    }
-    _emit(args, json.dumps(obj) + "\n")
     return 0
 
 

@@ -156,10 +156,13 @@ def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _freeze(spec: str, max_n: int, r1: np.ndarray, r2: np.ndarray, r3: np.ndarray) -> RepTable:
+def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
+    # r1 = 2*r3 + d and r2 = r3 + d, where d is the diagonal indicator
+    r2 = (r1 + d) >> 1
+    r3 = r2 - d
     for arr in (r1, r2, r3):
         arr.setflags(write=False)
-    return RepTable(spec, max_n, r1, r2, r3)
+    return RepTable(spec, len(r1) - 1, r1, r2, r3)
 
 
 def _estimate_bytes(max_n: int) -> int:
@@ -193,10 +196,7 @@ def batch_table(
     if strategy == "auto":
         strategy = "word_parallel" if max_n > WORD_PARALLEL_CUTOVER else "naive"
     r1 = _r1_naive(mem) if strategy == "naive" else _r1_word_parallel(mem)
-    d = _diagonal(mem)
-    r2 = (r1 + d) >> 1
-    r3 = r2 - d
-    return _freeze(a.spec(), max_n, r1, r2, r3)
+    return _derive_table(a.spec(), r1, _diagonal(mem))
 
 
 def r1_via_complement(prefix: ComplementPrefix, n: int) -> int:
@@ -248,9 +248,5 @@ def r1_array_via_complement(misses: Sequence[int], max_n: int) -> np.ndarray:
 
 def table_from_r1(a: IntegerSet, r1: Iterable[int]) -> RepTable:
     """Build a full table from a precomputed r1 array, deriving r2 and r3."""
-    r1 = np.asarray(r1, dtype=np.int64)
-    max_n = len(r1) - 1
-    d = diagonal_indicator(a, max_n)
-    r2 = (r1 + d) >> 1
-    r3 = r2 - d
-    return _freeze(a.spec(), max_n, r1.copy(), r2, r3)
+    r1 = np.array(r1, dtype=np.int64)
+    return _derive_table(a.spec(), r1, diagonal_indicator(a, len(r1) - 1))

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from xml.etree import ElementTree
 
+import numpy as np
+
 from .errors import BudgetExceededError
 from .sets import IntegerSet
 
@@ -45,22 +47,31 @@ def render_diagram(
     """Render the sum diagram as an SVG document or an ASCII grid."""
     if fmt not in ("svg", "ascii"):
         raise ValueError(f"unknown diagram format {fmt!r}")
-    points = diagram_points(a, max_sum)
-    estimate = _estimate_bytes(fmt, max_sum, len(points))
+    if max_sum < 0:
+        raise ValueError("max_sum must be non-negative")
+    estimate = _estimate_bytes(fmt, a, max_sum)
     if estimate > budget:
         raise BudgetExceededError(
             f"diagram of {a.spec()} up to {max_sum} needs about {estimate} bytes",
             budget=budget,
         )
+    points = diagram_points(a, max_sum)
     if fmt == "ascii":
         return _render_ascii(points, max_sum)
     return _render_svg(points, max_sum)
 
 
-def _estimate_bytes(fmt: str, max_sum: int, npoints: int) -> int:
+def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int) -> int:
     if fmt == "ascii":
         return (max_sum + 2) * (max_sum + 1)
-    return 512 + 64 * npoints
+    return 512 + 64 * _point_count(a, max_sum)
+
+
+def _point_count(a: IntegerSet, max_sum: int) -> int:
+    """len(diagram_points(a, max_sum)) in O(max_sum): each member x pairs
+    with every member y <= max_sum - x."""
+    mem = np.frombuffer(a.membership_bytes(max_sum), dtype=np.uint8)
+    return int(np.dot(mem, np.cumsum(mem, dtype=np.int64)[::-1]))
 
 
 def _render_ascii(points: list[tuple[int, int]], max_sum: int) -> str:

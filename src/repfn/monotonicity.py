@@ -1,4 +1,4 @@
-"""Monotonicity reports, density counts, and guaranteed flat steps."""
+"""Monotonicity reports and density counts."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import RepKind, RepTable, batch_table
-from .errors import SelfCheckError
+from .core import RepKind, RepTable
 from .sets import IntegerSet
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "DensityEstimate",
     "find_violations",
     "natural_density_estimate",
-    "window_nonstrict_step",
 ]
 
 
@@ -98,30 +96,3 @@ def natural_density_estimate(a: IntegerSet, max_n: int) -> DensityEstimate:
         raise ValueError("window bound must be positive")
     count = sum(a.membership_bytes(max_n)[1:])
     return DensityEstimate(max_n, count)
-
-
-def _first_nonstrict_step(values: np.ndarray, start: int) -> int | None:
-    for n in range(start, 2 * start + 3):
-        if values[n + 1] <= values[n]:
-            return n
-    return None
-
-
-def window_nonstrict_step(a: IntegerSet, start: int, kind: RepKind) -> int:
-    """Least n in [start, 2*start + 2] with r(n+1) <= r(n), for r2 or r3.
-
-    Such an n always exists: strict growth across the whole window would
-    need r2 at 2*start + 3 to exceed its full-set value.  Failure to find
-    one therefore aborts loudly instead of returning a default.
-    """
-    kind = RepKind(kind)
-    if kind is RepKind.R1:
-        raise ValueError("the window step is guaranteed for r2 and r3 only")
-    table = batch_table(a, 2 * start + 3)
-    step = _first_nonstrict_step(table.values(kind), start)
-    if step is None:
-        raise SelfCheckError(
-            f"no flat step for {kind.value} of {a.spec()} in [{start}, {2 * start + 2}]; "
-            "this contradicts a proved bound and indicates a computation bug"
-        )
-    return step

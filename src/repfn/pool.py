@@ -106,10 +106,6 @@ def decrease_pool(
             s = random_periodic(rng, require_zero_in_period=True)
         else:
             s = random_cofinite(rng, max_size=8)
-        try:
-            min_element(s)
-        except EmptySetError:
-            continue
         if len(complement_prefix(s, 3, scan_bound).elements) < 3:
             continue
         if not decrease_case_resolvable(s, scan_bound):

@@ -346,9 +346,10 @@ def suite_window_step(
     sets = pool.mixed_pool(count, seed)
     bad = []
     for a in sets:
+        table = batch_table(a, 2 * start_max + 3)
         for kind in (RepKind.R2, RepKind.R3):
             for start in range(start_max + 1):
-                ref = refute_strict_increase(a, start, kind)
+                ref = refute_strict_increase(table, start, kind)
                 witness = ref.witness
                 if corrupt and not bad and start == 0 and kind is RepKind.R2:
                     witness = ref.window_end + 1

@@ -17,16 +17,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, RepKind, batch_table, r2_at, _diagonal, _r1_naive
-from .errors import BudgetExceededError, InsufficientComplementError, SelfCheckError
-from .monotonicity import _first_nonstrict_step
+from .core import DEFAULT_MEMORY_BUDGET, RepKind, RepTable, batch_table, r2_at
+from .errors import EmptySetError, InsufficientComplementError, SelfCheckError
 from .sets import (
     FiniteSet,
     IntegerSet,
-    PeriodicSet,
     PowersOfTwo,
     complement,
     complement_prefix,
@@ -49,8 +48,6 @@ __all__ = [
     "first_r2_decrease_bruteforce",
     "WindowRefutation",
     "refute_strict_increase",
-    "GreedySearchResult",
-    "r3_monotone_greedy_search",
 ]
 
 
@@ -183,27 +180,67 @@ class DecreaseWitness:
         return obj
 
 
-def _verified_witness(
-    a: IntegerSet,
-    n: int,
-    case: DecreaseCase,
-    c_values: tuple[int, ...],
-    shift: int = 0,
-    inner: DecreaseWitness | None = None,
-) -> DecreaseWitness:
+class _DecreasePlan(NamedTuple):
+    """A predicted, not yet verified, r2 decrease of `a` at `n`."""
+
+    a: IntegerSet
+    n: int
+    case: DecreaseCase
+    c_values: tuple[int, ...]
+    shift: int = 0
+    inner: "_DecreasePlan | None" = None
+
+
+def _decrease_case(a: IntegerSet, scan_bound: int) -> _DecreasePlan:
+    """The case split of `predict_r2_decrease`, without verification."""
+    if scan_bound < 1:
+        raise ValueError("scan bound must be positive")
+    cs = complement_prefix(a, 3, scan_bound).elements
+    if not cs:
+        raise InsufficientComplementError(
+            f"no missing values of {a.spec()} at or below {scan_bound}"
+        )
+    c1 = cs[0]
+    if c1 % 2 == 1:
+        return _DecreasePlan(a, c1 - 1, DecreaseCase.C1_ODD, (c1,))
+    if c1 == 0:
+        m = min_element(a)
+        shifted = shift_down(a, m)
+        if not shifted.contains(0):
+            raise SelfCheckError("a shifted set is still missing 0")
+        inner = _decrease_case(shifted, scan_bound)
+        return _DecreasePlan(a, 2 * m + inner.n, DecreaseCase.SHIFTED, inner.c_values, m, inner)
+    if len(cs) < 2:
+        raise InsufficientComplementError(
+            f"{a.spec()}: need a second missing value at or below {scan_bound}"
+        )
+    c2 = cs[1]
+    if c2 % 2 == 1:
+        return _DecreasePlan(a, c2 - 1, DecreaseCase.C2_ODD, (c1, c2))
+    if len(cs) < 3:
+        raise InsufficientComplementError(
+            f"{a.spec()}: need a third missing value at or below {scan_bound}"
+        )
+    c3 = cs[2]
+    if c3 == c2 + 1:
+        return _DecreasePlan(a, c2, DecreaseCase.C3_ADJACENT, (c1, c2, c3))
+    return _DecreasePlan(a, c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3))
+
+
+def _verified_witness(plan: _DecreasePlan) -> DecreaseWitness:
+    inner = _verified_witness(plan.inner) if plan.inner else None
+    a, n = plan.a, plan.n
     before = r2_at(a, n)
     after = r2_at(a, n + 1)
     if not before > after:
         raise SelfCheckError(
             f"predicted decrease at n={n} for {a.spec()} does not hold: "
-            f"r2 goes {before} -> {after} (case {case.value})"
+            f"r2 goes {before} -> {after} (case {plan.case.value})"
         )
-    return DecreaseWitness(a.spec(), n, case, c_values, before, after, shift, inner)
+    return DecreaseWitness(a.spec(), n, plan.case, plan.c_values, before, after, plan.shift, inner)
 
 
-def predict_r2_decrease(
-    a: IntegerSet, scan_bound: int, *, _shift_depth: int = 0
-) -> DecreaseWitness:
+def predict_r2_decrease(a: IntegerSet, scan_bound: int) -> DecreaseWitness:
     """Locate an r2 decrease from the first missing values of a.
 
     The case split on the missing values c1 < c2 < c3 pins the decrease:
@@ -216,63 +253,17 @@ def predict_r2_decrease(
     enough missing values to resolve a case; that outcome makes no claim
     about whether a decrease exists.
     """
-    if scan_bound < 1:
-        raise ValueError("scan bound must be positive")
-    cs = complement_prefix(a, 3, scan_bound).elements
-    if not cs:
-        raise InsufficientComplementError(
-            f"no missing values of {a.spec()} at or below {scan_bound}"
-        )
-    c1 = cs[0]
-    if c1 % 2 == 1:
-        return _verified_witness(a, c1 - 1, DecreaseCase.C1_ODD, (c1,))
-    if c1 == 0:
-        if _shift_depth:
-            raise SelfCheckError("a shifted set is still missing 0")
-        m = min_element(a)
-        inner = predict_r2_decrease(shift_down(a, m), scan_bound, _shift_depth=1)
-        return _verified_witness(
-            a, 2 * m + inner.n, DecreaseCase.SHIFTED, inner.c_values, shift=m, inner=inner
-        )
-    if len(cs) < 2:
-        raise InsufficientComplementError(
-            f"{a.spec()}: need a second missing value at or below {scan_bound}"
-        )
-    c2 = cs[1]
-    if c2 % 2 == 1:
-        return _verified_witness(a, c2 - 1, DecreaseCase.C2_ODD, (c1, c2))
-    if len(cs) < 3:
-        raise InsufficientComplementError(
-            f"{a.spec()}: need a third missing value at or below {scan_bound}"
-        )
-    c3 = cs[2]
-    if c3 == c2 + 1:
-        return _verified_witness(a, c2, DecreaseCase.C3_ADJACENT, (c1, c2, c3))
-    return _verified_witness(a, c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3))
+    return _verified_witness(_decrease_case(a, scan_bound))
 
 
-def decrease_case_resolvable(a: IntegerSet, scan_bound: int, *, _depth: int = 0) -> bool:
+def decrease_case_resolvable(a: IntegerSet, scan_bound: int) -> bool:
     """Whether the missing values visible below scan_bound suffice for
-    `predict_r2_decrease`.  Mirrors its case analysis without verifying."""
-    cs = complement_prefix(a, 3, scan_bound).elements
-    if not cs:
+    `predict_r2_decrease`.  Runs its case split without verifying."""
+    try:
+        _decrease_case(a, scan_bound)
+    except (InsufficientComplementError, EmptySetError):
         return False
-    c1 = cs[0]
-    if c1 % 2 == 1:
-        return True
-    if c1 == 0:
-        if _depth:
-            return False
-        try:
-            m = min_element(a)
-        except Exception:
-            return False
-        return decrease_case_resolvable(shift_down(a, m), scan_bound, _depth=1)
-    if len(cs) < 2:
-        return False
-    if cs[1] % 2 == 1:
-        return True
-    return len(cs) >= 3
+    return True
 
 
 def first_r2_decrease_bruteforce(
@@ -315,73 +306,31 @@ class WindowRefutation:
         }
 
 
-def refute_strict_increase(a: IntegerSet, start: int, kind: RepKind) -> WindowRefutation:
+def refute_strict_increase(table: RepTable, start: int, kind: RepKind) -> WindowRefutation:
     """Find the least flat step of r2 or r3 in [start, 2*start + 2] and
-    record the cap that forces it.  Aborts loudly if none exists."""
+    record the cap that forces it.  Aborts loudly if none exists.
+
+    The table must reach 2*start + 3; r(n) depends only on membership up
+    to n, so a longer table gives the same answer.
+    """
     kind = RepKind(kind)
     if kind is RepKind.R1:
         raise ValueError("the window step is guaranteed for r2 and r3 only")
+    if start < 0:
+        raise ValueError("start must be non-negative")
     end = 2 * start + 3
-    table = batch_table(a, end)
-    witness = _first_nonstrict_step(table.values(kind), start)
+    if table.max_n < end:
+        raise ValueError(f"the window from {start} needs a table up to {end}, not {table.max_n}")
+    v = table.values(kind)
+    witness = next((n for n in range(start, end) if v[n + 1] <= v[n]), None)
     if witness is None:
         raise SelfCheckError(
-            f"no flat step for {kind.value} of {a.spec()} in [{start}, {end - 1}]"
+            f"no flat step for {kind.value} of {table.set_spec} in [{start}, {end - 1}]"
         )
     cap = start + 2
     end_value = int(table.r2[end])
     if end_value > cap:
         raise SelfCheckError(
-            f"r2 of {a.spec()} at {end} is {end_value}, above the full-set cap {cap}"
+            f"r2 of {table.set_spec} at {end} is {end_value}, above the full-set cap {cap}"
         )
-    return WindowRefutation(a.spec(), kind, start, witness, 2 * start + 2, cap, end_value)
-
-
-@dataclass(frozen=True)
-class GreedySearchResult:
-    prefix_set: IntegerSet
-    excluded: tuple[int, ...]
-    max_n: int
-
-
-def r3_monotone_greedy_search(
-    max_n: int, exclusion_budget: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> GreedySearchResult:
-    """Greedily drop integers while keeping r3 non-decreasing on [0, max_n].
-
-    Scans n = 0..max_n in order and excludes n whenever the whole window
-    stays monotone with n removed (checked by recomputation) and budget
-    remains.  Integers beyond max_n stay included, so the returned set is
-    eventually periodic with period "1".  No optimality is claimed.
-    """
-    if max_n < 1:
-        raise ValueError("max_n must be positive")
-    if exclusion_budget < 1:
-        raise ValueError("exclusion budget must be positive")
-    need = 64 * (max_n + 1)
-    if need > memory_budget:
-        raise BudgetExceededError(
-            f"a search window up to {max_n} needs about {need} bytes", budget=memory_budget
-        )
-    mem = np.ones(max_n + 1, dtype=np.uint8)
-    excluded: list[int] = []
-    for n in range(max_n + 1):
-        if len(excluded) == exclusion_budget:
-            break
-        mem[n] = 0
-        if _r3_nondecreasing(mem):
-            excluded.append(n)
-        else:
-            mem[n] = 1
-    bits = "".join("1" if b else "0" for b in mem)
-    prefix_set = PeriodicSet(bits, "1")
-    final = batch_table(prefix_set, max_n)
-    if np.any(final.r3[1:] < final.r3[:-1]):
-        raise SelfCheckError("greedy search produced a non-monotone r3 window")
-    return GreedySearchResult(prefix_set, tuple(excluded), max_n)
-
-
-def _r3_nondecreasing(mem: np.ndarray) -> bool:
-    r1 = _r1_naive(mem)
-    r3 = (r1 - _diagonal(mem)) >> 1
-    return not np.any(r3[1:] < r3[:-1])
+    return WindowRefutation(table.set_spec, kind, start, witness, 2 * start + 2, cap, end_value)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -143,13 +144,13 @@ class TestRender:
         assert counts == [1, 0, 2, 2, 3]
 
 
-class TestSearchR3:
-    def test_small_search(self, capsys):
-        code, out, _ = run_cli(capsys, "search-r3", "--max", "3", "--exclusions", "1")
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["excluded"] == [0]
-        assert obj["verified"] is True
+    def test_budget_checked_before_building_points(self, capsys):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "render", "--set", "nat", "--max", "3000", "--budget", "1000")
+        elapsed = time.perf_counter() - started
+        assert code == 3 and out == ""
+        assert "1000" in err
+        assert elapsed < 0.5
 
 
 class TestVerify:

@@ -3,7 +3,7 @@ from xml.etree import ElementTree
 import pytest
 
 from repfn.core import batch_table
-from repfn.diagram import diagram_points, render_diagram, svg_column_counts
+from repfn.diagram import _point_count, diagram_points, render_diagram, svg_column_counts
 from repfn.errors import BudgetExceededError
 from repfn.pool import mixed_pool
 from repfn.sets import parse_set_spec
@@ -22,6 +22,11 @@ class TestPoints:
 
     def test_empty_set(self):
         assert diagram_points(parse_set_spec("empty"), 6) == []
+
+    def test_point_count_matches_points(self):
+        for a in mixed_pool(30, seed=5):
+            for max_sum in (0, 1, 17, 60):
+                assert _point_count(a, max_sum) == len(diagram_points(a, max_sum))
 
     def test_column_counts_match_r1(self):
         a = parse_set_spec("complement(finite:1)")

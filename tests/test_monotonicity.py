@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from repfn.core import RepKind, batch_table
-from repfn.monotonicity import find_violations, natural_density_estimate, window_nonstrict_step
+from repfn.monotonicity import find_violations, natural_density_estimate
 from repfn.pool import mixed_pool
 from repfn.sets import complement, parse_set_spec
+from repfn.witnesses import refute_strict_increase
 
 
 def scan_steps(values, strict):
@@ -96,25 +97,46 @@ class TestDensity:
 
 
 class TestWindowStep:
+    @staticmethod
+    def step(spec, start, kind):
+        table = batch_table(parse_set_spec(spec), 2 * start + 3)
+        return refute_strict_increase(table, start, kind).witness
+
     def test_full_set_example(self):
-        assert window_nonstrict_step(parse_set_spec("nat"), 3, RepKind.R2) == 4
+        assert self.step("nat", 3, RepKind.R2) == 4
 
     def test_empty_set(self):
-        assert window_nonstrict_step(parse_set_spec("empty"), 0, RepKind.R2) == 0
+        assert self.step("empty", 0, RepKind.R2) == 0
 
     def test_missing_one(self):
-        assert window_nonstrict_step(parse_set_spec("complement(finite:1)"), 0, RepKind.R2) == 0
+        assert self.step("complement(finite:1)", 0, RepKind.R2) == 0
 
     def test_least_witness_in_window(self):
         for a in mixed_pool(8, seed=41):
+            table = batch_table(a, 2 * 16 + 3)
             for start in (0, 1, 5, 16):
                 for kind in (RepKind.R2, RepKind.R3):
-                    w = window_nonstrict_step(a, start, kind)
+                    w = refute_strict_increase(table, start, kind).witness
                     assert start <= w <= 2 * start + 2
                     v = batch_table(a, 2 * start + 3).values(kind)
                     assert v[w + 1] <= v[w]
                     assert all(v[n + 1] > v[n] for n in range(start, w))
 
+    def test_longer_table_same_witness(self):
+        for a in mixed_pool(8, seed=41):
+            long_table = batch_table(a, 2 * 64 + 3)
+            for start in (0, 1, 5, 16, 64):
+                short_table = batch_table(a, 2 * start + 3)
+                for kind in (RepKind.R2, RepKind.R3):
+                    short = refute_strict_increase(short_table, start, kind)
+                    assert refute_strict_increase(long_table, start, kind) == short
+
     def test_r1_rejected(self):
         with pytest.raises(ValueError):
-            window_nonstrict_step(parse_set_spec("nat"), 3, RepKind.R1)
+            self.step("nat", 3, RepKind.R1)
+
+    def test_short_table_rejected(self):
+        table = batch_table(parse_set_spec("nat"), 2 * 3 + 2)
+        with pytest.raises(ValueError):
+            refute_strict_increase(table, 3, RepKind.R2)
+        assert self.step("nat", 3, RepKind.R2) == 4  # a table ending at 2*start + 3 suffices

@@ -1,7 +1,9 @@
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repfn.core import RepKind, batch_table, r1_at, r2_at, r3_at
+from repfn.errors import EmptySetError, InsufficientComplementError
 from repfn.sets import (
     FiniteSet,
     PeriodicSet,
@@ -13,6 +15,7 @@ from repfn.sets import (
     parse_set_spec,
     shift_down,
 )
+from repfn.witnesses import decrease_case_resolvable, predict_r2_decrease
 
 COMMON = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -110,3 +113,20 @@ def test_batch_matches_pointwise_small(a, strategy):
         assert int(t.r1[n]) == r1_at(a, n)
         assert int(t.r2[n]) == r2_at(a, n)
         assert int(t.r3[n]) == r3_at(a, n)
+
+
+@COMMON
+@given(integer_sets(), st.integers(1, 600))
+def test_resolvable_exactly_when_predictor_returns(a, scan_bound):
+    if decrease_case_resolvable(a, scan_bound):
+        w = predict_r2_decrease(a, scan_bound)
+        assert w.before > w.after
+        return
+    try:
+        min_element(a)
+    except EmptySetError:
+        with pytest.raises(EmptySetError):
+            predict_r2_decrease(a, scan_bound)
+        return
+    with pytest.raises(InsufficientComplementError):
+        predict_r2_decrease(a, scan_bound)

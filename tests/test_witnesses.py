@@ -14,7 +14,6 @@ from repfn.witnesses import (
     decrease_case_resolvable,
     first_r2_decrease_bruteforce,
     predict_r2_decrease,
-    r3_monotone_greedy_search,
     refute_strict_increase,
     remove_first_powers,
     sparse_r1_profile,
@@ -199,60 +198,31 @@ class TestBruteforceFirstDecrease:
 
 class TestRefuteStrictIncrease:
     def test_full_set_r3(self):
-        ref = refute_strict_increase(parse_set_spec("nat"), 0, RepKind.R3)
+        ref = refute_strict_increase(batch_table(parse_set_spec("nat"), 3), 0, RepKind.R3)
         assert ref.witness == 1
         assert ref.value_cap == 2
 
     def test_variant_two_window(self):
-        ref = refute_strict_increase(almost_monotone_set(2), 5, RepKind.R2)
+        ref = refute_strict_increase(batch_table(almost_monotone_set(2), 13), 5, RepKind.R2)
         assert 5 <= ref.witness <= 12
 
     def test_empty_set(self):
-        ref = refute_strict_increase(parse_set_spec("empty"), 7, RepKind.R2)
+        ref = refute_strict_increase(batch_table(parse_set_spec("empty"), 17), 7, RepKind.R2)
         assert ref.witness == 7
         assert ref.end_value == 0
 
     def test_cap_holds_across_pool(self):
         for a in mixed_pool(12, seed=55):
+            table = batch_table(a, 23)
             for start in (0, 3, 10):
                 for kind in (RepKind.R2, RepKind.R3):
-                    ref = refute_strict_increase(a, start, kind)
+                    ref = refute_strict_increase(table, start, kind)
                     assert start <= ref.witness <= 2 * start + 2
                     assert ref.end_value <= ref.value_cap == start + 2
 
     def test_r1_rejected(self):
         with pytest.raises(ValueError):
-            refute_strict_increase(parse_set_spec("nat"), 2, RepKind.R1)
-
-
-class TestGreedySearch:
-    def test_small_case_excludes_zero(self):
-        result = r3_monotone_greedy_search(3, 1)
-        assert result.excluded == (0,)
-        assert [result.prefix_set.contains(n) for n in range(4)] == [False, True, True, True]
-
-    def test_exclusion_of_zero_is_safe_at_size_three(self):
-        # oracle for the small case: removing 0 keeps r3 non-decreasing on [0, 3]
-        members = [1, 2, 3]
-        r3 = [
-            sum(1 for a in members for b in members if a < b and a + b == n) for n in range(4)
-        ]
-        assert r3 == sorted(r3)
-
-    def test_output_always_verifies(self):
-        for max_n, budget in ((3, 1), (40, 3), (80, 10)):
-            result = r3_monotone_greedy_search(max_n, budget)
-            assert len(result.excluded) <= budget
-            table = batch_table(result.prefix_set, max_n)
-            assert find_violations(table, RepKind.R3, strict=False).violations == ()
-
-    def test_beyond_window_everything_included(self):
-        result = r3_monotone_greedy_search(10, 2)
-        assert all(result.prefix_set.contains(n) for n in range(11, 40))
-
-    def test_budget_validated(self):
-        with pytest.raises(ValueError):
-            r3_monotone_greedy_search(10, 0)
+            refute_strict_increase(batch_table(parse_set_spec("nat"), 7), 2, RepKind.R1)
 
 
 class TestBoundsAgainstReports:
