@@ -24,7 +24,6 @@ from .errors import (
     IncompletePrefixError,
     InsufficientComplementError,
     RepfnError,
-    ScanBoundExceeded,
     SelfCheckError,
     SetSpecError,
 )
@@ -52,7 +51,6 @@ from .sets import (
 from .witnesses import (
     DecreaseCase,
     DecreaseWitness,
-    ViolationBound,
     WindowRefutation,
     almost_monotone_set,
     check_block_values,

@@ -19,7 +19,6 @@ from .errors import (
     BudgetExceededError,
     EmptySetError,
     InsufficientComplementError,
-    ScanBoundExceeded,
     SelfCheckError,
     SetSpecError,
 )
@@ -42,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_set(t)
     t.add_argument("--max", type=int, required=True, metavar="N")
     t.add_argument("--format", choices=("csv", "json"), default="csv")
-    t.add_argument("--strategy", choices=("naive", "word", "auto"), default="auto")
     _add_common(t)
     t.set_defaults(func=cmd_table)
 
@@ -52,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--kind", choices=("r1", "r2", "r3"), default="r1")
     v.add_argument("--strict", action="store_true", help="report failures of strict increase")
     v.add_argument("--format", choices=("csv", "json"), default="json")
-    v.add_argument("--strategy", choices=("naive", "word", "auto"), default="auto")
     _add_common(v)
     v.set_defaults(func=cmd_violations)
 
@@ -89,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="perturb one computed value per suite; the run must then fail",
     )
-    _add_common(vf)
+    _add_out(vf)
     vf.set_defaults(func=cmd_verify)
 
     return p
@@ -101,6 +98,10 @@ def _add_set(sp: argparse.ArgumentParser) -> None:
 
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--budget", type=int, default=DEFAULT_MEMORY_BUDGET, metavar="BYTES")
+    _add_out(sp)
+
+
+def _add_out(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
 
 
@@ -112,13 +113,9 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _strategy(name: str) -> str:
-    return "word_parallel" if name == "word" else name
-
-
 def cmd_table(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
-    table = batch_table(a, args.max, _strategy(args.strategy), memory_budget=args.budget)
+    table = batch_table(a, args.max, memory_budget=args.budget)
     if args.format == "csv":
         _emit(args, table.to_csv())
     else:
@@ -128,7 +125,7 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 def cmd_violations(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
-    table = batch_table(a, args.max, _strategy(args.strategy), memory_budget=args.budget)
+    table = batch_table(a, args.max, memory_budget=args.budget)
     report = find_violations(table, RepKind(args.kind), args.strict)
     if args.format == "csv":
         _emit(args, report.to_csv())
@@ -147,10 +144,11 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
-    w = predict_r2_decrease(a, args.max)
-    obj = w.to_json_obj()
+    # the brute-force table checks the budget before anything is allocated
+    first = first_r2_decrease_bruteforce(a, args.max, memory_budget=args.budget)
+    obj = predict_r2_decrease(a, args.max).to_json_obj()
     obj["scan_bound"] = args.max
-    obj["brute_force_first"] = first_r2_decrease_bruteforce(a, args.max, memory_budget=args.budget)
+    obj["brute_force_first"] = first
     _emit(args, json.dumps(obj) + "\n")
     return 0
 
@@ -188,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
     except (EmptySetError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExceededError, ScanBoundExceeded) as exc:
+    except BudgetExceededError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 3
     except (InsufficientComplementError, SelfCheckError) as exc:

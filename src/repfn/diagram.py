@@ -12,12 +12,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 
+from .core import DEFAULT_MEMORY_BUDGET
 from .errors import BudgetExceededError
 from .sets import IntegerSet
 
-__all__ = ["render_diagram", "diagram_points", "DEFAULT_RENDER_BUDGET"]
-
-DEFAULT_RENDER_BUDGET = 1 << 26  # bytes of rendered output
+__all__ = ["render_diagram", "diagram_points"]
 
 _CELL = 12  # svg lattice spacing in pixels
 _MARGIN = 10
@@ -42,14 +41,14 @@ def render_diagram(
     max_sum: int,
     fmt: str = "svg",
     *,
-    budget: int = DEFAULT_RENDER_BUDGET,
+    budget: int = DEFAULT_MEMORY_BUDGET,
 ) -> str:
     """Render the sum diagram as an SVG document or an ASCII grid."""
     if fmt not in ("svg", "ascii"):
         raise ValueError(f"unknown diagram format {fmt!r}")
     if max_sum < 0:
         raise ValueError("max_sum must be non-negative")
-    estimate = _estimate_bytes(fmt, a, max_sum)
+    estimate = _estimate_bytes(fmt, a, max_sum, budget)
     if estimate > budget:
         raise BudgetExceededError(
             f"diagram of {a.spec()} up to {max_sum} needs about {estimate} bytes",
@@ -61,9 +60,14 @@ def render_diagram(
     return _render_svg(points, max_sum)
 
 
-def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int) -> int:
+def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int, budget: int) -> int:
     if fmt == "ascii":
         return (max_sum + 2) * (max_sum + 1)
+    # counting the points takes the membership bytes and two int64 vectors,
+    # so a count over budget is refused before it is taken
+    count_bytes = 17 * (max_sum + 1)
+    if count_bytes > budget:
+        return count_bytes
     return 512 + 64 * _point_count(a, max_sum)
 
 

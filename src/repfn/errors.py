@@ -19,14 +19,6 @@ class EmptySetError(RepfnError, ValueError):
     """An operation that needs a member was given an empty set."""
 
 
-class ScanBoundExceeded(RepfnError, RuntimeError):
-    """A bounded scan ended without an answer; the bound is recorded."""
-
-    def __init__(self, message: str, bound: int):
-        super().__init__(f"{message} (scan bound {bound})")
-        self.bound = bound
-
-
 class IncompletePrefixError(RepfnError, ValueError):
     """A complement prefix does not cover the range an operation needs."""
 

@@ -25,14 +25,9 @@ from .witnesses import decrease_case_resolvable
 DEFAULT_SEED = 20260810
 
 
-def random_periodic(
-    rng: random.Random,
-    max_pre: int = 8,
-    max_period: int = 12,
-    require_zero_in_period: bool = False,
-) -> PeriodicSet:
-    pre_len = rng.randint(0, max_pre)
-    per_len = rng.randint(1, max_period)
+def random_periodic(rng: random.Random, require_zero_in_period: bool = False) -> PeriodicSet:
+    pre_len = rng.randint(0, 8)
+    per_len = rng.randint(1, 12)
     pre = "".join(rng.choice("01") for _ in range(pre_len))
     per = "".join(rng.choice("01") for _ in range(per_len))
     if require_zero_in_period and "0" not in per:
@@ -41,16 +36,16 @@ def random_periodic(
     return PeriodicSet(pre, per)
 
 
-def random_cofinite(rng: random.Random, max_size: int = 5, max_value: int = 48) -> IntegerSet:
-    """Complement of a small random finite set."""
+def random_cofinite(rng: random.Random, max_size: int = 5) -> IntegerSet:
+    """Complement of a small random finite set of values up to 48."""
     size = rng.randint(1, max_size)
-    values = sorted(rng.sample(range(max_value + 1), size))
+    values = sorted(rng.sample(range(49), size))
     return complement(FiniteSet(tuple(values)))
 
 
-def periodic_pool(count: int, seed: int = DEFAULT_SEED, **kwargs) -> list[PeriodicSet]:
+def periodic_pool(count: int, seed: int = DEFAULT_SEED) -> list[PeriodicSet]:
     rng = random.Random(seed)
-    return [random_periodic(rng, **kwargs) for _ in range(count)]
+    return [random_periodic(rng) for _ in range(count)]
 
 
 def mixed_pool(count: int, seed: int = DEFAULT_SEED) -> list[IntegerSet]:

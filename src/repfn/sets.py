@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from .errors import EmptySetError, ScanBoundExceeded, SetSpecError
+from .errors import EmptySetError, SetSpecError
 
 __all__ = [
     "IntegerSet",
@@ -251,21 +251,15 @@ def _nonmember_horizon(a: IntegerSet, k: int) -> int:
     raise TypeError(f"unknown descriptor {type(a).__name__}")
 
 
-def min_element(a: IntegerSet, *, scan_bound: int | None = None) -> int:
+def min_element(a: IntegerSet) -> int:
     """Least member of a.
 
-    Without `scan_bound` the scan range is derived from the descriptor, so
-    the call always terminates with either the minimum or EmptySetError.
-    With an explicit `scan_bound` smaller than that range, an inconclusive
-    scan raises ScanBoundExceeded instead.
+    The scan range is derived from the descriptor, so the call always
+    terminates with either the minimum or EmptySetError.
     """
-    limit = _member_horizon(a, 0)
-    stop = limit if scan_bound is None else min(limit, scan_bound + 1)
-    for n in range(stop):
+    for n in range(_member_horizon(a, 0)):
         if a.contains(n):
             return n
-    if scan_bound is not None and scan_bound + 1 < limit:
-        raise ScanBoundExceeded(f"no member of {a.spec()} found", bound=scan_bound)
     raise EmptySetError(f"{a.spec()} has no elements")
 
 

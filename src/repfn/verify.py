@@ -103,7 +103,8 @@ def _mismatch_details(expected: np.ndarray, got: np.ndarray) -> dict:
     return {"first_mismatch_n": n, "expected": int(expected[n]), "got": int(got[n])}
 
 
-def suite_closed_forms(*, seed: int | None = None, max_n: int = 5000, corrupt: bool = False) -> list[Check]:
+def suite_closed_forms(*, seed: int | None = None, corrupt: bool = False) -> list[Check]:
+    max_n = 5000
     nat = complement(FiniteSet())
     memf = membership_array(nat, max_n).astype(np.float64)
     counted_r1 = np.convolve(memf, memf)[: max_n + 1].astype(np.int64)
@@ -136,9 +137,9 @@ def suite_closed_forms(*, seed: int | None = None, max_n: int = 5000, corrupt: b
     return checks
 
 
-def suite_identities(
-    *, seed: int = pool.DEFAULT_SEED, count: int = 100, max_n: int = 2000, corrupt: bool = False
-) -> list[Check]:
+def suite_identities(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) -> list[Check]:
+    count = 100
+    max_n = 2000
     sets = pool.periodic_pool(count, seed)
     decomposition_bad = []
     diagonal_bad = []
@@ -169,9 +170,9 @@ def suite_identities(
     return checks
 
 
-def suite_strategies(
-    *, seed: int = pool.DEFAULT_SEED, count: int = 20, max_n: int = 2**15, corrupt: bool = False
-) -> list[Check]:
+def suite_strategies(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) -> list[Check]:
+    count = 20
+    max_n = 2**15
     sets = pool.mixed_pool(count, seed)
     bad = []
     for i, a in enumerate(sets):
@@ -197,9 +198,10 @@ def suite_strategies(
     ]
 
 
-def suite_density_zero(*, seed: int | None = None, max_n: int = 2**20, corrupt: bool = False) -> list[Check]:
+def suite_density_zero(*, seed: int | None = None, corrupt: bool = False) -> list[Check]:
+    max_n = 2**20
     a = almost_monotone_set(1)
-    bound = violation_bound(1, max_n).bound
+    bound = violation_bound(1, max_n)
     profile = sparse_r1_profile(max_n)
     positives = sorted(profile)
     violations = sum(1 for n in positives if n < max_n and profile.get(n + 1, 0) < profile[n])
@@ -230,16 +232,16 @@ def suite_density_zero(*, seed: int | None = None, max_n: int = 2**20, corrupt: 
     return checks
 
 
-def suite_density_one(
-    *, seed: int | None = None, max_n: int = 2**20, block_j_max: int = 14, corrupt: bool = False
-) -> list[Check]:
+def suite_density_one(*, seed: int | None = None, corrupt: bool = False) -> list[Check]:
+    max_n = 2**20
+    block_j_max = 14
     a = almost_monotone_set(2)
     prefix = complement_prefix(a, 64, max_n)
     r1 = r1_array_via_complement(prefix.elements, max_n)
     if corrupt:
         r1 = r1.copy()
         r1[9] -= 1
-    bound = violation_bound(2, max_n).bound
+    bound = violation_bound(2, max_n)
     table = table_from_r1(a, r1)
     report = find_violations(table, RepKind.R1, strict=True)
     checks = [
@@ -282,7 +284,8 @@ def suite_density_one(
     return checks
 
 
-def suite_blocks(*, seed: int | None = None, j_max: int = 14, corrupt: bool = False) -> list[Check]:
+def suite_blocks(*, seed: int | None = None, corrupt: bool = False) -> list[Check]:
+    j_max = 14
     failing = [j for j in range(1, j_max + 1) if not check_block_values(j)]
     if corrupt:
         failing = [1] + failing
@@ -295,9 +298,9 @@ def suite_blocks(*, seed: int | None = None, j_max: int = 14, corrupt: bool = Fa
     ]
 
 
-def suite_decrease(
-    *, seed: int = pool.DEFAULT_SEED, count: int = 500, scan_bound: int = 512, corrupt: bool = False
-) -> list[Check]:
+def suite_decrease(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) -> list[Check]:
+    count = 500
+    scan_bound = 512
     sets = pool.decrease_pool(count, seed, scan_bound)
     unverified = []
     oracle_bad = []
@@ -340,9 +343,9 @@ def suite_decrease(
     ]
 
 
-def suite_window_step(
-    *, seed: int = pool.DEFAULT_SEED, count: int = 200, start_max: int = 64, corrupt: bool = False
-) -> list[Check]:
+def suite_window_step(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) -> list[Check]:
+    count = 200
+    start_max = 64
     sets = pool.mixed_pool(count, seed)
     bad = []
     for a in sets:
@@ -365,9 +368,9 @@ def suite_window_step(
     ]
 
 
-def suite_diagram(
-    *, seed: int = pool.DEFAULT_SEED, count: int = 10, max_sum: int = 50, corrupt: bool = False
-) -> list[Check]:
+def suite_diagram(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) -> list[Check]:
+    count = 10
+    max_sum = 50
     sets = pool.mixed_pool(count, seed)
     mismatched = []
     malformed = []

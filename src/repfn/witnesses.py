@@ -36,7 +36,6 @@ from .sets import (
 __all__ = [
     "almost_monotone_set",
     "remove_first_powers",
-    "ViolationBound",
     "violation_bound",
     "sparse_r1_profile",
     "check_block_values",
@@ -68,14 +67,7 @@ def remove_first_powers(j: int) -> IntegerSet:
     return complement(FiniteSet(tuple(2**i for i in range(1, j + 1))))
 
 
-@dataclass(frozen=True)
-class ViolationBound:
-    variant: int
-    max_n: int
-    bound: int
-
-
-def violation_bound(variant: int, max_n: int) -> ViolationBound:
+def violation_bound(variant: int, max_n: int) -> int:
     """Upper bound on monotonicity failures of r1 up to max_n.
 
     Variant 1 bounds the indices where r1 of the powers-of-two set is
@@ -86,12 +78,10 @@ def violation_bound(variant: int, max_n: int) -> ViolationBound:
     if max_n < 1:
         raise ValueError("max_n must be positive")
     if variant == 1:
-        b = (max_n.bit_length() - 1) ** 2
-    elif variant == 2:
-        b = math.ceil(2.0 + (math.log2(max_n) + 3.0) ** 2)
-    else:
-        raise ValueError("variant must be 1 or 2")
-    return ViolationBound(variant, max_n, b)
+        return (max_n.bit_length() - 1) ** 2
+    if variant == 2:
+        return math.ceil(2.0 + (math.log2(max_n) + 3.0) ** 2)
+    raise ValueError("variant must be 1 or 2")
 
 
 def sparse_r1_profile(max_n: int) -> dict[int, int]:
@@ -131,14 +121,14 @@ def block_value(n: int, j: int) -> int:
     return n + 1 - 2 * j
 
 
-def check_block_values(j: int, *, strategy: str = "naive") -> bool:
+def check_block_values(j: int) -> bool:
     """Compare `block_value` against a directly computed table on the
     whole block (2^j, 2^{j+1}] for the powers-of-two complement."""
     if j < 1:
         raise ValueError("j must be positive")
     a = almost_monotone_set(2)
     top = 2 ** (j + 1)
-    table = batch_table(a, top, strategy)
+    table = batch_table(a, top, "naive")
     return all(int(table.r1[n]) == block_value(n, j) for n in range(2**j + 1, top + 1))
 
 

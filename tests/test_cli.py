@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -36,14 +37,6 @@ class TestTable:
         obj = json.loads(out)
         assert obj["r1"] == [0, 0, 0, 0, 1, 0]
 
-    def test_strategy_flag(self, capsys):
-        for strat in ("naive", "word", "auto"):
-            code, out, _ = run_cli(
-                capsys, "table", "--set", "nat", "--max", "4", "--format", "csv", "--strategy", strat
-            )
-            assert code == 0
-            assert out.strip().split("\n")[1] == "0,1,1,0"
-
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "table", "--set", "nat", "--max", "3", "--out", str(path))
@@ -58,7 +51,13 @@ class TestExitCodes:
         assert out == "" and "finite" in err
 
     def test_unknown_flag_is_usage_error(self, capsys):
-        assert run_cli(capsys, "table", "--set", "nat", "--max", "4", "--frobnicate")[0] == 2
+        for argv in (
+            ("table", "--set", "nat", "--max", "4", "--frobnicate"),
+            ("table", "--set", "nat", "--max", "4", "--strategy", "naive"),
+            ("violations", "--set", "nat", "--max", "4", "--strategy", "word"),
+            ("verify", "all", "--budget", "1"),
+        ):
+            assert run_cli(capsys, *argv)[0] == 2, argv
 
     def test_missing_subcommand(self, capsys):
         assert run_cli(capsys)[0] == 2
@@ -74,6 +73,26 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "witness", "--set", "nat")
         assert code == 1
         assert "missing values" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("witness", "--set", "nat", "--max", "16777216"),
+            ("witness", "--set", "complement(pow2)", "--max", "16777216"),
+            ("render", "--set", "nat", "--max", "4194304", "--format", "svg"),
+        ],
+        ids=["witness-nat", "witness-complement-pow2", "render-svg"],
+    )
+    def test_budget_checked_before_allocating(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv, "--budget", "1000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3 and out == ""
+        assert "1000" in err
+        assert peak < 1 << 20
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0

@@ -1,9 +1,12 @@
-"""The public names and the README's command list match the code."""
+"""The public names and the README's commands and examples match the code."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -37,9 +40,12 @@ def test_every_package_import_resolves():
             assert public is None or alias.name in public, (node.module, alias.name)
 
 
+def _readme_section(title):
+    return README.read_text().split(f"## {title}", 1)[1].split("\n## ", 1)[0]
+
+
 def _readme_commands():
-    text = README.read_text()
-    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    section = _readme_section("Command line")
     examples = set(re.findall(r"^repfn (\S+)", section, flags=re.MULTILINE))
     described = set(re.findall(r"^\* `([a-z0-9-]+)`", section, flags=re.MULTILINE))
     count = re.search(r"has (\w+) subcommands", section).group(1)
@@ -53,3 +59,25 @@ def test_readme_lists_exactly_the_subcommands():
     assert examples == choices
     assert described == choices
     assert count == NUMBER_WORDS[len(choices)]
+
+
+def test_readme_command_examples_parse():
+    examples = re.findall(r"^repfn .*$", _readme_section("Command line"), flags=re.MULTILINE)
+    assert examples
+    for line in examples:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_readme_library_block_prints_what_it_shows():
+    block = _readme_section("Library use").split("```python\n", 1)[1].split("```", 1)[0]
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(block, {})
+    got = out.getvalue().splitlines()
+    assert len(got) == len(prints)
+    # a comment after a print shows that print's output
+    expected = {i: line.split("#", 1)[1].strip() for i, line in enumerate(prints) if "#" in line}
+    assert expected
+    for i, text in expected.items():
+        assert got[i] == text

@@ -48,17 +48,17 @@ class TestConstructions:
         assert a.membership_bytes(top) == b.membership_bytes(top)
 
 
-class TestViolationBound:
+class TestViolationCountBound:
     def test_known_values(self):
-        assert violation_bound(1, 1024).bound == 100
-        assert violation_bound(2, 1024).bound == 171
-        assert violation_bound(1, 1).bound == 0
-        assert violation_bound(1, 2**20).bound == 400
-        assert violation_bound(2, 2**20).bound == 531
+        assert violation_bound(1, 1024) == 100
+        assert violation_bound(2, 1024) == 171
+        assert violation_bound(1, 1) == 0
+        assert violation_bound(1, 2**20) == 400
+        assert violation_bound(2, 2**20) == 531
 
     def test_monotone_in_n(self):
         for variant in (1, 2):
-            values = [violation_bound(variant, n).bound for n in range(1, 300)]
+            values = [violation_bound(variant, n) for n in range(1, 300)]
             assert all(x <= y for x, y in zip(values, values[1:]))
 
 
@@ -231,7 +231,7 @@ class TestBoundsAgainstReports:
         a = almost_monotone_set(1)
         t = batch_table(a, max_n)
         report = find_violations(t, RepKind.R1, strict=False)
-        bound = violation_bound(1, max_n).bound
+        bound = violation_bound(1, max_n)
         assert report.count <= bound
         assert int(np.count_nonzero(t.r1)) <= bound
 
@@ -240,12 +240,12 @@ class TestBoundsAgainstReports:
         a = almost_monotone_set(2)
         t = batch_table(a, max_n)
         report = find_violations(t, RepKind.R1, strict=True)
-        assert report.count <= violation_bound(2, max_n).bound
+        assert report.count <= violation_bound(2, max_n)
 
     @pytest.mark.parametrize("max_n", [2**10, 2**14, 2**17, 2**20])
     def test_variant_one_bound_via_sparse_profile(self, max_n):
         profile = sparse_r1_profile(max_n)
-        bound = violation_bound(1, max_n).bound
+        bound = violation_bound(1, max_n)
         assert len(profile) <= bound
         violations = sum(
             1 for n in profile if n < max_n and profile.get(n + 1, 0) < profile[n]
@@ -259,7 +259,7 @@ class TestBoundsAgainstReports:
         misses = [2**i for i in range(1, max_n.bit_length()) if 2**i <= max_n]
         r1 = r1_array_via_complement(misses, max_n)
         failures = int(np.count_nonzero(r1[1:] <= r1[:-1]))
-        assert failures <= violation_bound(2, max_n).bound
+        assert failures <= violation_bound(2, max_n)
 
 
 class TestPartialFamilyBlocks:
