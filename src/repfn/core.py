@@ -137,10 +137,17 @@ def _diagonal(mem: np.ndarray) -> np.ndarray:
 def _r1_naive(mem: np.ndarray) -> np.ndarray:
     # Direct convolution of the 0/1 membership sequence with itself.  Floats
     # carry it exactly: every intermediate is an integer bounded by len(mem),
-    # far below 2**24 (float32) or 2**53 (float64).
+    # far below 2**24 (float32) or 2**53 (float64).  Only n < len(mem) is
+    # kept, so the upper half is never squared: a pair with both terms in
+    # it sums past the end, and a mixed pair is counted twice.
     dtype = np.float32 if len(mem) < (1 << 24) - 1 else np.float64
     x = mem.astype(dtype)
-    return np.convolve(x, x)[: len(mem)].astype(np.int64)
+    h = (len(x) + 1) // 2
+    r1 = np.zeros(len(x), dtype=dtype)
+    r1[: 2 * h - 1] = np.convolve(x[:h], x[:h])
+    if h < len(x):
+        r1[h:] += 2 * np.convolve(x[:h], x[h:])[: len(x) - h]
+    return r1.astype(np.int64)
 
 
 def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
