@@ -7,21 +7,30 @@ For a set A and n >= 0 the three counts are
     r3(A, n) = #{(a, b) in A x A : a + b = n, a < b}
 
 This module provides pointwise counting, the closed forms for the full set
-of non-negative integers, batch tables over [0, N] with two interchangeable
-strategies, and an inclusion-exclusion path that reaches large N when the
-complement of A is sparse.
+of non-negative integers, batch tables over [0, N], and an
+inclusion-exclusion path that reaches large N when the complement of A is
+sparse.
+
+Batch tables get r1 from one of three kernels with identical results.
+`naive` (direct convolution) is the oracle.  `fft` (a length-2^k real FFT)
+certifies every result by an a-priori rounding bound, the observed rounding
+residual and the sum of the counts, and is what `auto` uses above N = 4096.
+`word_parallel` (big-int overlap popcounts) is kept only as the second route
+of the `strategies` verify suite, until that suite's recorded output is
+re-recorded with `fft` in its place.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, IncompletePrefixError
+from .errors import BudgetExceededError, IncompletePrefixError, SelfCheckError
 from .sets import ComplementPrefix, IntegerSet
 
 __all__ = [
@@ -38,10 +47,13 @@ __all__ = [
     "membership_array",
     "diagonal_indicator",
     "DEFAULT_MEMORY_BUDGET",
+    "STRATEGIES",
 ]
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of working memory batch_table may use
-WORD_PARALLEL_CUTOVER = 4096  # auto strategy switches above this N
+FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
+_CSV_BLOCK = 4096  # rows formatted per string operation in RepTable.to_csv
+_EPS = 2.0**-53  # unit roundoff of float64
 
 
 class RepKind(enum.Enum):
@@ -103,10 +115,12 @@ class RepTable:
         return getattr(self, RepKind(kind).value)
 
     def to_csv(self) -> str:
-        lines = ["n,r1,r2,r3"]
-        for n in range(self.max_n + 1):
-            lines.append(f"{n},{self.r1[n]},{self.r2[n]},{self.r3[n]}")
-        return "\n".join(lines) + "\n"
+        parts = ["n,r1,r2,r3\n"]
+        for lo in range(0, self.max_n + 1, _CSV_BLOCK):
+            cols = [a[lo : lo + _CSV_BLOCK] for a in (self.r1, self.r2, self.r3)]
+            block = np.column_stack([np.arange(lo, lo + len(cols[0])), *cols])
+            parts.append("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+        return "".join(parts)
 
     def to_json_obj(self) -> dict:
         return {
@@ -163,6 +177,44 @@ def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
+def _fft_error_bound(k: int, norm2: int) -> float:
+    # Percival, Math. Comp. 72 (2003) 387-395: a length-2^k FFT convolution
+    # of x and y is off by less than |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1)
+    # (1+b)^3k - 1) in every entry, e the unit roundoff and b the error of
+    # the roots of unity, taken as e (pocketfft rounds them from higher
+    # precision).  For 0/1 memberships |x|^2 is the member count.
+    logs = 6 * k * math.log1p(_EPS) + (3 * k + 1) * math.log1p(_EPS * math.sqrt(5))
+    return norm2 * math.expm1(logs)
+
+
+def _r1_fft(mem: np.ndarray) -> np.ndarray:
+    # Self-convolution by a real FFT long enough that nothing wraps around,
+    # rounded to the nearest integers.  Rounding is exact when every entry
+    # is within 1/2 of its count; the a-priori bound and the observed
+    # residual must both stay under 1/4, and the full convolution must sum
+    # to the squared member count (in float64 that sum is exact below 2^53).
+    n = len(mem)
+    size = 1 << (2 * n - 1).bit_length()
+    count = int(np.count_nonzero(mem))
+    bound = _fft_error_bound(size.bit_length() - 1, count)
+    if bound >= 0.25 or count * count >= 1 << 53:
+        raise SelfCheckError(f"FFT of length {size} over {count} members not certifiable")
+    spec = np.fft.rfft(mem, size)
+    spec *= spec
+    y = np.fft.irfft(spec, size)
+    del spec
+    r1 = np.rint(y)
+    y -= r1
+    residual = float(np.abs(y, out=y).max())
+    del y
+    if residual >= 0.25:
+        raise SelfCheckError(f"FFT rounding residual {residual:.3g} at length {size}")
+    total = int(r1.sum())
+    if total != count * count:
+        raise SelfCheckError(f"FFT convolution sums to {total}, not {count}^2 = {count * count}")
+    return r1[:n].astype(np.int64)
+
+
 def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
     # r1 = 2*r3 + d and r2 = r3 + d, where d is the diagonal indicator
     r2 = (r1 + d) >> 1
@@ -172,9 +224,16 @@ def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
     return RepTable(spec, len(r1) - 1, r1, r2, r3)
 
 
+_KERNELS = {"naive": _r1_naive, "fft": _r1_fft, "word_parallel": _r1_word_parallel}
+STRATEGIES = (*_KERNELS, "auto")
+
+
 def _estimate_bytes(max_n: int) -> int:
-    # membership + float copy + convolution output + three count arrays
-    return 64 * (max_n + 1)
+    # membership, float copies and convolution output, three count arrays,
+    # and the fft kernel's padded spectrum and inverse transform (8 bytes per
+    # entry of the 2^k transform length each), which live at the same time
+    n = max_n + 1
+    return 64 * n + 16 * (1 << (2 * n - 1).bit_length())
 
 
 def batch_table(
@@ -186,13 +245,17 @@ def batch_table(
 ) -> RepTable:
     """Compute all three functions on [0, max_n].
 
-    Strategies "naive" (direct convolution) and "word_parallel" (bit-vector
-    overlap counting) produce identical tables by contract; "auto" picks by
-    size.  r2 and r3 are derived from r1 and the diagonal indicator, which
-    keeps a single source of truth for the counts.
+    Strategies produce identical tables by contract.  "naive" (direct
+    convolution) is the oracle; "fft" is certified by its rounding bound,
+    rounding residual and count sum, and raises SelfCheckError rather than
+    return a count it cannot certify; "auto" uses naive up to N = 4096 and
+    fft above.  "word_parallel" (bit-vector overlap counting) is kept only
+    for the `strategies` verify suite.  r2 and r3 are derived from r1 and
+    the diagonal indicator, which keeps a single source of truth for the
+    counts.
     """
     _check_n(max_n)
-    if strategy not in ("naive", "word_parallel", "auto"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     need = _estimate_bytes(max_n)
     if need > memory_budget:
@@ -201,8 +264,8 @@ def batch_table(
         )
     mem = membership_array(a, max_n)
     if strategy == "auto":
-        strategy = "word_parallel" if max_n > WORD_PARALLEL_CUTOVER else "naive"
-    r1 = _r1_naive(mem) if strategy == "naive" else _r1_word_parallel(mem)
+        strategy = "fft" if max_n > FFT_CUTOVER else "naive"
+    r1 = _KERNELS[strategy](mem)
     return _derive_table(a.spec(), r1, _diagonal(mem))
 
 

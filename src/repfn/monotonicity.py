@@ -66,7 +66,7 @@ def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> Vio
         idx: tuple[int, ...] = ()
     else:
         bad = (v[1:] <= v[:-1]) if strict else (v[:-1] > v[1:])
-        idx = tuple(int(i) for i in np.nonzero(bad)[0])
+        idx = tuple(np.flatnonzero(bad).tolist())
     return ViolationReport(table.set_spec, kind, strict, table.max_n, idx)
 
 
@@ -94,5 +94,5 @@ def natural_density_estimate(a: IntegerSet, max_n: int) -> DensityEstimate:
     """Count members in [1, max_n]; membership of 0 is never counted."""
     if max_n < 1:
         raise ValueError("window bound must be positive")
-    count = sum(a.membership_bytes(max_n)[1:])
+    count = a.membership_bytes(max_n).count(1, 1)
     return DensityEstimate(max_n, count)

@@ -1,8 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from repfn import core
+from repfn.cli import main
 from repfn.core import (
     RepKind,
     batch_table,
@@ -15,7 +18,7 @@ from repfn.core import (
     r3_at,
     table_from_r1,
 )
-from repfn.errors import BudgetExceededError, IncompletePrefixError
+from repfn.errors import BudgetExceededError, IncompletePrefixError, SelfCheckError
 from repfn.pool import mixed_pool
 from repfn.sets import ComplementPrefix, complement_prefix, min_element, parse_set_spec, shift_down
 
@@ -78,7 +81,7 @@ class TestBatchTable:
         t = batch_table(parse_set_spec("empty"), 9)
         assert not t.r1.any() and not t.r2.any() and not t.r3.any()
 
-    @pytest.mark.parametrize("strategy", ["naive", "word_parallel"])
+    @pytest.mark.parametrize("strategy", ["naive", "fft", "word_parallel"])
     def test_matches_pointwise(self, strategy):
         for a in mixed_pool(6, seed=5):
             t = batch_table(a, 64, strategy)
@@ -123,11 +126,66 @@ class TestBatchTable:
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
-            batch_table(parse_set_spec("nat"), 4, "fft")
+            batch_table(parse_set_spec("nat"), 4, "bogus")
 
     def test_max_n_zero(self):
         t = batch_table(parse_set_spec("nat"), 0)
         assert t.r1.tolist() == [1] and t.r2.tolist() == [1] and t.r3.tolist() == [0]
+
+
+class TestFftKernel:
+    LENGTHS = [*range(1, 80), 4095, 4096, 4097, 32767, 32768, 32769]
+
+    @pytest.mark.parametrize("density", [0.05, 0.5, 0.95])
+    def test_equals_naive(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        for length in self.LENGTHS:
+            mem = (rng.random(length) < density).astype(np.uint8)
+            assert np.array_equal(core._r1_fft(mem), core._r1_naive(mem)), length
+
+    @staticmethod
+    def _corrupt_irfft(monkeypatch, index, delta):
+        real = np.fft.irfft
+
+        def corrupted(spec, size):
+            y = real(spec, size)
+            y[index] += delta
+            return y
+
+        monkeypatch.setattr(np.fft, "irfft", corrupted)
+
+    def test_error_bound_checked(self, monkeypatch):
+        # the bound for a whole 2^23-entry membership is far below 1/4
+        assert core._fft_error_bound(24, 1 << 23) < 1e-6
+        monkeypatch.setattr(core, "_fft_error_bound", lambda k, norm2: 0.25)
+        with pytest.raises(SelfCheckError, match="not certifiable"):
+            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+
+    def test_rounding_residual_checked(self, monkeypatch):
+        self._corrupt_irfft(monkeypatch, 3, 0.3)
+        with pytest.raises(SelfCheckError, match="residual"):
+            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+
+    def test_count_sum_checked(self, monkeypatch, capsys):
+        # one extra pair past N leaves r1 on [0, N] intact; only the sum shows it
+        self._corrupt_irfft(monkeypatch, -1, 1.0)
+        with pytest.raises(SelfCheckError, match="sums to"):
+            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+        assert main(["table", "--set", "complement(pow2)", "--max", "5000"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not certified" in captured.err
+
+    @pytest.mark.parametrize("strategy", ["naive", "auto"])
+    @pytest.mark.parametrize("max_n", [4096, 4097, 2**15, 2**16 - 1, 2**16, 100000, 2**17])
+    def test_estimate_covers_traced_peak(self, strategy, max_n):
+        a = parse_set_spec("complement(pow2)")
+        tracemalloc.start()
+        try:
+            batch_table(a, max_n, strategy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert core._estimate_bytes(max_n) >= peak
 
 
 class TestSubsetMonotonicity:
@@ -211,6 +269,12 @@ class TestComplementPath:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("max_n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_csv_rows(self, max_n):
+        t = batch_table(parse_set_spec("complement(pow2)"), max_n)
+        rows = [f"{n},{t.r1[n]},{t.r2[n]},{t.r3[n]}\n" for n in range(max_n + 1)]
+        assert t.to_csv() == "n,r1,r2,r3\n" + "".join(rows)
+
     def test_csv_shape(self):
         t = batch_table(parse_set_spec("nat"), 3)
         lines = t.to_csv().strip().split("\n")

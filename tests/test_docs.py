@@ -13,6 +13,7 @@ import pytest
 
 import repfn
 from repfn.cli import build_parser
+from repfn.core import STRATEGIES
 
 PACKAGE_DIR = Path(repfn.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
@@ -59,6 +60,11 @@ def test_readme_lists_exactly_the_subcommands():
     assert examples == choices
     assert described == choices
     assert count == NUMBER_WORDS[len(choices)]
+
+
+def test_readme_lists_exactly_the_strategies():
+    listed = re.findall(r"^\* `(\w+)`", _readme_section("Library use"), flags=re.MULTILINE)
+    assert listed == [s for s in STRATEGIES if s != "auto"]
 
 
 def test_readme_command_examples_parse():
