@@ -11,13 +11,12 @@ of non-negative integers, batch tables over [0, N], and an
 inclusion-exclusion path that reaches large N when the complement of A is
 sparse.
 
-Batch tables get r1 from one of three kernels with identical results.
-`naive` (direct convolution) is the oracle.  `fft` (a length-2^k real FFT)
-certifies every result by an a-priori rounding bound, the observed rounding
-residual and the sum of the counts, and is what `auto` uses above N = 4096.
-`word_parallel` (big-int overlap popcounts) is kept only as the second route
-of the `strategies` verify suite, until that suite's recorded output is
-re-recorded with `fft` in its place.
+Batch tables get r1 from one of two kernels with identical results.
+`naive` (direct convolution) is the oracle.  A length-2^k real FFT certifies
+every result by an a-priori rounding bound, the observed rounding residual
+and the sum of the counts.  The default strategy, `auto`, runs the FFT above
+N = 4096 and the oracle below; the strategy `naive` forces the oracle at
+any N.
 """
 
 from __future__ import annotations
@@ -51,7 +50,9 @@ __all__ = [
 ]
 
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of working memory batch_table may use
+STRATEGIES = ("naive", "auto")
 FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
+_FIXED_BYTES = 2048  # array headers and numpy scratch, about 1.8 KB traced at N <= 16
 _CSV_BLOCK = 4096  # rows formatted per string operation in RepTable.to_csv
 _EPS = 2.0**-53  # unit roundoff of float64
 
@@ -164,19 +165,6 @@ def _r1_naive(mem: np.ndarray) -> np.ndarray:
     return r1.astype(np.int64)
 
 
-def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
-    # r1(n) is the overlap popcount between the membership bits of [0, n]
-    # and their reversal; the reversal is maintained incrementally.
-    mask = int.from_bytes(np.packbits(mem, bitorder="little").tobytes(), "little")
-    out = []
-    append = out.append
-    rev = 0
-    for bit in mem.tobytes():
-        rev = (rev << 1) | bit
-        append((mask & rev).bit_count())
-    return np.array(out, dtype=np.int64)
-
-
 def _fft_error_bound(k: int, norm2: int) -> float:
     # Percival, Math. Comp. 72 (2003) 387-395: a length-2^k FFT convolution
     # of x and y is off by less than |x| |y| ((1+e)^3k (1+e sqrt5)^(3k+1)
@@ -224,16 +212,20 @@ def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
     return RepTable(spec, len(r1) - 1, r1, r2, r3)
 
 
-_KERNELS = {"naive": _r1_naive, "fft": _r1_fft, "word_parallel": _r1_word_parallel}
-STRATEGIES = (*_KERNELS, "auto")
+def _runs_fft(max_n: int, strategy: str) -> bool:
+    return strategy == "auto" and max_n > FFT_CUTOVER
 
 
-def _estimate_bytes(max_n: int) -> int:
-    # membership, float copies and convolution output, three count arrays,
-    # and the fft kernel's padded spectrum and inverse transform (8 bytes per
-    # entry of the 2^k transform length each), which live at the same time
+def _estimate_bytes(max_n: int, strategy: str = "auto") -> int:
+    # fixed overhead, membership, float copies and convolution output, three
+    # count arrays, and, only when the fft kernel runs, its padded spectrum
+    # and inverse transform (8 bytes per entry of the 2^k transform length
+    # each), which live at the same time
     n = max_n + 1
-    return 64 * n + 16 * (1 << (2 * n - 1).bit_length())
+    need = _FIXED_BYTES + 64 * n
+    if _runs_fft(max_n, strategy):
+        need += 16 * (1 << (2 * n - 1).bit_length())
+    return need
 
 
 def batch_table(
@@ -245,27 +237,25 @@ def batch_table(
 ) -> RepTable:
     """Compute all three functions on [0, max_n].
 
-    Strategies produce identical tables by contract.  "naive" (direct
-    convolution) is the oracle; "fft" is certified by its rounding bound,
-    rounding residual and count sum, and raises SelfCheckError rather than
-    return a count it cannot certify; "auto" uses naive up to N = 4096 and
-    fft above.  "word_parallel" (bit-vector overlap counting) is kept only
-    for the `strategies` verify suite.  r2 and r3 are derived from r1 and
-    the diagonal indicator, which keeps a single source of truth for the
-    counts.
+    Both strategies produce identical tables by contract.  "auto" (the
+    default) uses the naive kernel up to N = 4096 and the FFT kernel above;
+    the FFT is certified by its rounding bound, rounding residual and count
+    sum, and raises SelfCheckError rather than return a count it cannot
+    certify.  "naive" (direct convolution) is the oracle at any N.  The
+    memory estimate checked against `memory_budget` follows the kernel that
+    runs.  r2 and r3 are derived from r1 and the diagonal indicator, which
+    keeps a single source of truth for the counts.
     """
     _check_n(max_n)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    need = _estimate_bytes(max_n)
+    need = _estimate_bytes(max_n, strategy)
     if need > memory_budget:
         raise BudgetExceededError(
             f"a table up to {max_n} needs about {need} bytes", budget=memory_budget
         )
     mem = membership_array(a, max_n)
-    if strategy == "auto":
-        strategy = "fft" if max_n > FFT_CUTOVER else "naive"
-    r1 = _KERNELS[strategy](mem)
+    r1 = (_r1_fft if _runs_fft(max_n, strategy) else _r1_naive)(mem)
     return _derive_table(a.spec(), r1, _diagonal(mem))
 
 

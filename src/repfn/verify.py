@@ -95,6 +95,19 @@ def _half_range_counts(memf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r2, r3
 
 
+def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
+    # r1(n) is the overlap popcount between the membership bits of [0, n]
+    # and their reversal; the reversal is maintained incrementally.
+    mask = int.from_bytes(np.packbits(mem, bitorder="little").tobytes(), "little")
+    out = []
+    append = out.append
+    rev = 0
+    for bit in mem.tobytes():
+        rev = (rev << 1) | bit
+        append((mask & rev).bit_count())
+    return np.array(out, dtype=np.int64)
+
+
 def _mismatch_details(expected: np.ndarray, got: np.ndarray) -> dict:
     bad = np.nonzero(expected != got)[0]
     if not len(bad):
@@ -177,7 +190,7 @@ def suite_strategies(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) ->
     bad = []
     for i, a in enumerate(sets):
         t_naive = batch_table(a, max_n, "naive")
-        t_word = batch_table(a, max_n, "word_parallel")
+        t_word = table_from_r1(a, _r1_word_parallel(membership_array(a, max_n)))
         word_r1 = t_word.r1
         if corrupt and i == 0:
             word_r1 = word_r1.copy()

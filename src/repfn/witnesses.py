@@ -276,24 +276,10 @@ class WindowRefutation:
     window would force it past that.
     """
 
-    set_spec: str
-    kind: RepKind
-    start: int
     witness: int
     window_end: int
     value_cap: int
     end_value: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "set": self.set_spec,
-            "kind": self.kind.value,
-            "start": self.start,
-            "witness": self.witness,
-            "window_end": self.window_end,
-            "value_cap": self.value_cap,
-            "end_value": self.end_value,
-        }
 
 
 def refute_strict_increase(table: RepTable, start: int, kind: RepKind) -> WindowRefutation:
@@ -323,4 +309,4 @@ def refute_strict_increase(table: RepTable, start: int, kind: RepKind) -> Window
         raise SelfCheckError(
             f"r2 of {table.set_spec} at {end} is {end_value}, above the full-set cap {cap}"
         )
-    return WindowRefutation(table.set_spec, kind, start, witness, 2 * start + 2, cap, end_value)
+    return WindowRefutation(witness, 2 * start + 2, cap, end_value)

@@ -69,6 +69,15 @@ class TestExitCodes:
         assert code == 3
         assert "4096" in err and out == ""
 
+    def test_budget_follows_the_kernel_that_runs(self, capsys):
+        # naive work at N = 1000 peaks near 34 KB, with no fft buffers to count
+        code, out, _ = run_cli(capsys, "table", "--set", "nat", "--max", "1000", "--budget", "90000")
+        assert code == 0 and out.startswith("n,r1,r2,r3\n")
+        code, out, _ = run_cli(
+            capsys, "table", "--set", "nat", "--max", "262144", "--budget", "4096"
+        )
+        assert code == 3 and out == ""
+
     def test_insufficient_complement_not_certified(self, capsys):
         code, out, err = run_cli(capsys, "witness", "--set", "nat")
         assert code == 1

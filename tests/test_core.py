@@ -21,6 +21,7 @@ from repfn.core import (
 from repfn.errors import BudgetExceededError, IncompletePrefixError, SelfCheckError
 from repfn.pool import mixed_pool
 from repfn.sets import ComplementPrefix, complement_prefix, min_element, parse_set_spec, shift_down
+from repfn.verify import _r1_word_parallel
 
 
 def brute_counts(a, n):
@@ -81,7 +82,7 @@ class TestBatchTable:
         t = batch_table(parse_set_spec("empty"), 9)
         assert not t.r1.any() and not t.r2.any() and not t.r3.any()
 
-    @pytest.mark.parametrize("strategy", ["naive", "fft", "word_parallel"])
+    @pytest.mark.parametrize("strategy", ["naive", "auto"])
     def test_matches_pointwise(self, strategy):
         for a in mixed_pool(6, seed=5):
             t = batch_table(a, 64, strategy)
@@ -91,12 +92,15 @@ class TestBatchTable:
                 assert int(t.r3[n]) == r3_at(a, n)
 
     def test_strategies_agree_midsize(self):
-        for a in mixed_pool(8, seed=11):
-            tn = batch_table(a, 600, "naive")
-            tw = batch_table(a, 600, "word_parallel")
-            ta = batch_table(a, 600, "auto")
-            for x, y in ((tn.r1, tw.r1), (tn.r2, tw.r2), (tn.r3, tw.r3), (tn.r1, ta.r1)):
-                assert np.array_equal(x, y)
+        # 5000 is past FFT_CUTOVER, so there auto runs the fft kernel
+        for max_n in (600, 5000):
+            for a in mixed_pool(8, seed=11):
+                tn = batch_table(a, max_n, "naive")
+                tw = table_from_r1(a, _r1_word_parallel(core.membership_array(a, max_n)))
+                ta = batch_table(a, max_n, "auto")
+                for t in (tw, ta):
+                    for x, y in ((tn.r1, t.r1), (tn.r2, t.r2), (tn.r3, t.r3)):
+                        assert np.array_equal(x, y)
 
     def test_count_bounds(self):
         for a in mixed_pool(6, seed=3):
@@ -127,6 +131,11 @@ class TestBatchTable:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             batch_table(parse_set_spec("nat"), 4, "bogus")
+
+    @pytest.mark.parametrize("strategy", ["fft", "word_parallel"])
+    def test_kernel_names_are_not_strategies(self, strategy):
+        with pytest.raises(ValueError):
+            batch_table(parse_set_spec("nat"), 10, strategy)
 
     def test_max_n_zero(self):
         t = batch_table(parse_set_spec("nat"), 0)
@@ -159,24 +168,27 @@ class TestFftKernel:
         assert core._fft_error_bound(24, 1 << 23) < 1e-6
         monkeypatch.setattr(core, "_fft_error_bound", lambda k, norm2: 0.25)
         with pytest.raises(SelfCheckError, match="not certifiable"):
-            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+            batch_table(parse_set_spec("complement(pow2)"), 5000)
 
     def test_rounding_residual_checked(self, monkeypatch):
         self._corrupt_irfft(monkeypatch, 3, 0.3)
         with pytest.raises(SelfCheckError, match="residual"):
-            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+            batch_table(parse_set_spec("complement(pow2)"), 5000)
 
     def test_count_sum_checked(self, monkeypatch, capsys):
         # one extra pair past N leaves r1 on [0, N] intact; only the sum shows it
         self._corrupt_irfft(monkeypatch, -1, 1.0)
         with pytest.raises(SelfCheckError, match="sums to"):
-            batch_table(parse_set_spec("complement(pow2)"), 100, "fft")
+            batch_table(parse_set_spec("complement(pow2)"), 5000)
         assert main(["table", "--set", "complement(pow2)", "--max", "5000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "not certified" in captured.err
 
     @pytest.mark.parametrize("strategy", ["naive", "auto"])
-    @pytest.mark.parametrize("max_n", [4096, 4097, 2**15, 2**16 - 1, 2**16, 100000, 2**17])
+    @pytest.mark.parametrize(
+        "max_n",
+        [0, 1, 2, 16, 100, 512, 4096, 4097, 2**15, 2**16 - 1, 2**16, 100000, 2**17],
+    )
     def test_estimate_covers_traced_peak(self, strategy, max_n):
         a = parse_set_spec("complement(pow2)")
         tracemalloc.start()
@@ -185,7 +197,30 @@ class TestFftKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert core._estimate_bytes(max_n) >= peak
+        estimate = core._estimate_bytes(max_n, strategy)
+        assert estimate >= peak
+        naive_runs = strategy == "naive" or max_n <= core.FFT_CUTOVER
+        if naive_runs and max_n >= 100:
+            assert estimate <= 3 * peak
+
+    def test_fft_runs_exactly_when_estimated(self, monkeypatch):
+        class FftCalled(Exception):
+            pass
+
+        def refuse(mem):
+            raise FftCalled
+
+        monkeypatch.setattr(core, "_r1_fft", refuse)
+        a = parse_set_spec("complement(pow2)")
+        cut = core.FFT_CUTOVER
+        batch_table(a, cut)
+        batch_table(a, cut + 1, "naive")
+        with pytest.raises(FftCalled):
+            batch_table(a, cut + 1)
+        # the padded spectrum and inverse transform: 16 bytes per entry of 2^k >= 2N + 1
+        fft_term = 16 * (1 << (2 * cut + 3).bit_length())
+        assert core._estimate_bytes(cut) == core._estimate_bytes(cut, "naive")
+        assert core._estimate_bytes(cut + 1) == core._estimate_bytes(cut + 1, "naive") + fft_term
 
 
 class TestSubsetMonotonicity:

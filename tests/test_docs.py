@@ -64,7 +64,7 @@ def test_readme_lists_exactly_the_subcommands():
 
 def test_readme_lists_exactly_the_strategies():
     listed = re.findall(r"^\* `(\w+)`", _readme_section("Library use"), flags=re.MULTILINE)
-    assert listed == [s for s in STRATEGIES if s != "auto"]
+    assert listed == list(STRATEGIES)
 
 
 def test_readme_command_examples_parse():
