@@ -16,12 +16,12 @@ from .core import (
     r1_via_complement,
     r2_at,
     r3_at,
+    sparse_r1,
 )
 from .diagram import render_diagram
 from .errors import (
     BudgetExceededError,
     EmptySetError,
-    IncompletePrefixError,
     InsufficientComplementError,
     RepfnError,
     SelfCheckError,
@@ -35,7 +35,6 @@ from .monotonicity import (
 )
 from .sets import (
     Complement,
-    ComplementPrefix,
     FiniteSet,
     IntegerSet,
     PeriodicSet,

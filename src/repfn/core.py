@@ -7,9 +7,9 @@ For a set A and n >= 0 the three counts are
     r3(A, n) = #{(a, b) in A x A : a + b = n, a < b}
 
 This module provides pointwise counting, the closed forms for the full set
-of non-negative integers, batch tables over [0, N], and an
-inclusion-exclusion path that reaches large N when the complement of A is
-sparse.
+of non-negative integers, batch tables over [0, N], pair counting for
+sparse sets, and an inclusion-exclusion path that reaches large N when the
+complement of A is sparse.
 
 Batch tables get r1 from one of two kernels with identical results.
 `naive` (direct convolution) is the oracle.  A length-2^k real FFT certifies
@@ -23,14 +23,14 @@ from __future__ import annotations
 
 import enum
 import math
-from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import BudgetExceededError, IncompletePrefixError, SelfCheckError
-from .sets import ComplementPrefix, IntegerSet
+from .errors import BudgetExceededError, SelfCheckError
+from .sets import IntegerSet, complement, complement_prefix
 
 __all__ = [
     "RepKind",
@@ -40,6 +40,7 @@ __all__ = [
     "r3_at",
     "closed_form",
     "batch_table",
+    "sparse_r1",
     "r1_via_complement",
     "r1_array_via_complement",
     "table_from_r1",
@@ -259,50 +260,35 @@ def batch_table(
     return _derive_table(a.spec(), r1, _diagonal(mem))
 
 
-def r1_via_complement(prefix: ComplementPrefix, n: int) -> int:
-    """r1 of the set whose missing values the prefix lists, via
-    inclusion-exclusion: (n + 1) - 2 * #misses + #miss pairs summing to n.
-
-    The prefix must cover every missing value up to n.
-    """
-    _check_n(n)
-    covered = (prefix.exhausted and prefix.scan_bound >= n) or (
-        prefix.elements and prefix.elements[-1] >= n
-    )
-    if not covered:
-        raise IncompletePrefixError(
-            f"prefix does not list all complement elements up to {n}"
-        )
-    inside = prefix.elements[: bisect_right(prefix.elements, n)]
-    present = set(inside)
-    pairs = sum(1 for c in inside if (n - c) in present)
-    return (n + 1) - 2 * len(inside) + pairs
-
-
-def r1_array_via_complement(misses: Sequence[int], max_n: int) -> np.ndarray:
-    """Vector form of `r1_via_complement` over all n in [0, max_n].
-
-    `misses` must list every missing value <= max_n in increasing order;
-    entries beyond max_n are ignored.
-    """
+def sparse_r1(a: IntegerSet, max_n: int) -> dict[int, int]:
+    """r1 of a sparse set on [0, max_n] as {n: count} in increasing n; every
+    n absent from the map has r1 = 0.  Every ordered member pair is visited,
+    so the cost is the square of the member count up to max_n."""
     _check_n(max_n)
-    inside = []
-    last = -1
-    for c in misses:
-        if c <= last:
-            raise ValueError("misses must be strictly increasing and non-negative")
-        last = c
-        if c <= max_n:
-            inside.append(c)
+    members = np.flatnonzero(membership_array(a, max_n)).tolist()
+    sums = Counter(x + y for x in members for y in members if x + y <= max_n)
+    return dict(sorted(sums.items()))
+
+
+def r1_via_complement(a: IntegerSet, n: int) -> int:
+    """r1(a, n) by inclusion-exclusion over the values a misses up to n:
+    (n + 1) - 2 * #misses + #ordered miss pairs summing to n."""
+    _check_n(n)
+    misses = complement_prefix(a, n + 1, n)
+    present = set(misses)
+    pairs = sum(1 for c in misses if (n - c) in present)
+    return (n + 1) - 2 * len(misses) + pairs
+
+
+def r1_array_via_complement(a: IntegerSet, max_n: int) -> np.ndarray:
+    """Vector form of `r1_via_complement` over all n in [0, max_n]; fast
+    when the complement of a is sparse, since its pairs go to `sparse_r1`."""
+    _check_n(max_n)
+    misses = complement(a)
     r1 = np.arange(1, max_n + 2, dtype=np.int64)
-    if not inside:
-        return r1
-    indicator = np.zeros(max_n + 1, dtype=np.int64)
-    indicator[inside] = 1
-    r1 -= 2 * np.cumsum(indicator)
-    sums = [c + d for c in inside for d in inside if c + d <= max_n]
-    if sums:
-        np.add.at(r1, sums, 1)
+    r1 -= 2 * np.cumsum(membership_array(misses, max_n), dtype=np.int64)
+    for n, pairs in sparse_r1(misses, max_n).items():
+        r1[n] += pairs
     return r1
 
 

@@ -21,6 +21,14 @@ __all__ = ["render_diagram", "diagram_points"]
 _CELL = 12  # svg lattice spacing in pixels
 _MARGIN = 10
 _RADIUS = 3
+# Budget terms above the tracemalloc peaks of render_diagram (max_sum up to
+# 600): about 6 KB of first-call scratch; per ascii cell, a grid slot, two
+# text characters and a share of the row headers (10.2 bytes); per point,
+# an (n, x) tuple in a list (at most 83 bytes) or an svg circle element with
+# its attributes and serialised text (at most 850).
+_FIXED_BYTES = 8192
+_CELL_BYTES = {"ascii": 12, "svg": 0}
+_POINT_BYTES = {"ascii": 96, "svg": 1024}
 
 
 def diagram_points(a: IntegerSet, max_sum: int) -> list[tuple[int, int]]:
@@ -61,14 +69,12 @@ def render_diagram(
 
 
 def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int, budget: int) -> int:
-    if fmt == "ascii":
-        return (max_sum + 2) * (max_sum + 1)
     # counting the points takes the membership bytes and two int64 vectors,
     # so a count over budget is refused before it is taken
-    count_bytes = 17 * (max_sum + 1)
-    if count_bytes > budget:
-        return count_bytes
-    return 512 + 64 * _point_count(a, max_sum)
+    before = _FIXED_BYTES + 17 * (max_sum + 1) + _CELL_BYTES[fmt] * (max_sum + 1) ** 2
+    if before > budget:
+        return before
+    return before + _POINT_BYTES[fmt] * _point_count(a, max_sum)
 
 
 def _point_count(a: IntegerSet, max_sum: int) -> int:

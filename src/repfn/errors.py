@@ -19,10 +19,6 @@ class EmptySetError(RepfnError, ValueError):
     """An operation that needs a member was given an empty set."""
 
 
-class IncompletePrefixError(RepfnError, ValueError):
-    """A complement prefix does not cover the range an operation needs."""
-
-
 class InsufficientComplementError(RepfnError, RuntimeError):
     """Too few complement elements were found to resolve a decrease case.
 

@@ -101,7 +101,7 @@ def decrease_pool(
             s = random_periodic(rng, require_zero_in_period=True)
         else:
             s = random_cofinite(rng, max_size=8)
-        if len(complement_prefix(s, 3, scan_bound).elements) < 3:
+        if len(complement_prefix(s, 3, scan_bound)) < 3:
             continue
         if not decrease_case_resolvable(s, scan_bound):
             continue

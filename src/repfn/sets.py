@@ -33,7 +33,6 @@ __all__ = [
     "PowersOfTwo",
     "Complement",
     "Shifted",
-    "ComplementPrefix",
     "parse_set_spec",
     "contains",
     "complement",
@@ -219,35 +218,23 @@ def shift_down(a: IntegerSet, m: int) -> IntegerSet:
     return Shifted(a, m)
 
 
-def _member_horizon(a: IntegerSet, k: int) -> int:
-    """If a has any member >= k, it has one below the returned bound."""
+def _horizon(a: IntegerSet, k: int, member: bool) -> int:
+    """If a has a member (or, with member=False, a missing value) >= k, it
+    has one below the returned bound."""
     if isinstance(a, FiniteSet):
-        return a.elements[-1] + 1 if a.elements else k
-    if isinstance(a, PeriodicSet):
-        return max(k, len(a.preperiod)) + len(a.period)
-    if isinstance(a, PowersOfTwo):
-        # the next power of two at or above max(k, 2) is below 2*max(k, 2)
-        return max(3, 2 * k)
-    if isinstance(a, Complement):
-        return _nonmember_horizon(a.inner, k)
-    if isinstance(a, Shifted):
-        return max(_member_horizon(a.inner, k + a.offset) - a.offset, k)
-    raise TypeError(f"unknown descriptor {type(a).__name__}")
-
-
-def _nonmember_horizon(a: IntegerSet, k: int) -> int:
-    """If any integer >= k is missing from a, one is missing below the bound."""
-    if isinstance(a, FiniteSet):
+        if member:
+            return a.elements[-1] + 1 if a.elements else k
         return k + len(a.elements) + 1
     if isinstance(a, PeriodicSet):
         return max(k, len(a.preperiod)) + len(a.period)
     if isinstance(a, PowersOfTwo):
-        # no two consecutive integers are both powers of two >= 2
-        return k + 2
+        # the next power of two at or above max(k, 2) is below 2*max(k, 2),
+        # and no two consecutive integers are both powers of two >= 2
+        return max(3, 2 * k) if member else k + 2
     if isinstance(a, Complement):
-        return _member_horizon(a.inner, k)
+        return _horizon(a.inner, k, not member)
     if isinstance(a, Shifted):
-        return max(_nonmember_horizon(a.inner, k + a.offset) - a.offset, k)
+        return max(_horizon(a.inner, k + a.offset, member) - a.offset, k)
     raise TypeError(f"unknown descriptor {type(a).__name__}")
 
 
@@ -257,26 +244,13 @@ def min_element(a: IntegerSet) -> int:
     The scan range is derived from the descriptor, so the call always
     terminates with either the minimum or EmptySetError.
     """
-    for n in range(_member_horizon(a, 0)):
+    for n in range(_horizon(a, 0, True)):
         if a.contains(n):
             return n
     raise EmptySetError(f"{a.spec()} has no elements")
 
 
-@dataclass(frozen=True)
-class ComplementPrefix:
-    """The first missing values of a set, scanned up to a stated bound.
-
-    `exhausted` means the listed elements are all of the missing values at
-    or below `scan_bound`; nothing is implied about larger integers.
-    """
-
-    elements: tuple[int, ...]
-    exhausted: bool
-    scan_bound: int
-
-
-def complement_prefix(a: IntegerSet, count: int, scan_bound: int) -> ComplementPrefix:
+def complement_prefix(a: IntegerSet, count: int, scan_bound: int) -> tuple[int, ...]:
     """First `count` integers <= scan_bound that are missing from a."""
     if count < 1:
         raise ValueError("count must be positive")
@@ -285,11 +259,10 @@ def complement_prefix(a: IntegerSet, count: int, scan_bound: int) -> ComplementP
     bts = a.membership_bytes(scan_bound)
     found: list[int] = []
     pos = bts.find(0)
-    while pos != -1 and len(found) <= count:
+    while pos != -1 and len(found) < count:
         found.append(pos)
         pos = bts.find(0, pos + 1)
-    exhausted = len(found) <= count
-    return ComplementPrefix(tuple(found[:count]), exhausted, scan_bound)
+    return tuple(found)
 
 
 # --- set-spec parsing ---------------------------------------------------

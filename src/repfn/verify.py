@@ -28,10 +28,11 @@ from .core import (
     r1_via_complement,
     r2_at,
     r3_at,
+    sparse_r1,
     table_from_r1,
 )
 from .monotonicity import find_violations, natural_density_estimate
-from .sets import FiniteSet, complement, complement_prefix
+from .sets import FiniteSet, complement
 from .witnesses import (
     DecreaseCase,
     almost_monotone_set,
@@ -39,7 +40,6 @@ from .witnesses import (
     first_r2_decrease_bruteforce,
     predict_r2_decrease,
     refute_strict_increase,
-    sparse_r1_profile,
     violation_bound,
 )
 
@@ -215,7 +215,7 @@ def suite_density_zero(*, seed: int | None = None, corrupt: bool = False) -> lis
     max_n = 2**20
     a = almost_monotone_set(1)
     bound = violation_bound(1, max_n)
-    profile = sparse_r1_profile(max_n)
+    profile = sparse_r1(a, max_n)
     positives = sorted(profile)
     violations = sum(1 for n in positives if n < max_n and profile.get(n + 1, 0) < profile[n])
     if corrupt:
@@ -249,8 +249,7 @@ def suite_density_one(*, seed: int | None = None, corrupt: bool = False) -> list
     max_n = 2**20
     block_j_max = 14
     a = almost_monotone_set(2)
-    prefix = complement_prefix(a, 64, max_n)
-    r1 = r1_array_via_complement(prefix.elements, max_n)
+    r1 = r1_array_via_complement(a, max_n)
     if corrupt:
         r1 = r1.copy()
         r1[9] -= 1
@@ -274,7 +273,7 @@ def suite_density_one(*, seed: int | None = None, corrupt: bool = False) -> list
         )
     )
     spot = all(
-        r1_via_complement(prefix, n) == int(r1[n]) for n in (0, 1, 2, 5, 6, 100, 2**15, 2**20 - 1)
+        r1_via_complement(a, n) == int(r1[n]) for n in (0, 1, 2, 5, 6, 100, 2**15, 2**20 - 1)
     )
     checks.append(Check("scalar inclusion-exclusion agrees at sampled n", spot))
     bad_blocks = []

@@ -37,7 +37,6 @@ __all__ = [
     "almost_monotone_set",
     "remove_first_powers",
     "violation_bound",
-    "sparse_r1_profile",
     "check_block_values",
     "block_value",
     "DecreaseCase",
@@ -82,23 +81,6 @@ def violation_bound(variant: int, max_n: int) -> int:
     if variant == 2:
         return math.ceil(2.0 + (math.log2(max_n) + 3.0) ** 2)
     raise ValueError("variant must be 1 or 2")
-
-
-def sparse_r1_profile(max_n: int) -> dict[int, int]:
-    """r1 of the powers-of-two set as a sparse map {n: count}; every n
-    absent from the map has r1 = 0.  Covers n in [0, max_n]."""
-    members = []
-    p = 2
-    while p <= max_n:
-        members.append(p)
-        p <<= 1
-    profile: dict[int, int] = {}
-    for p in members:
-        for q in members:
-            s = p + q
-            if s <= max_n:
-                profile[s] = profile.get(s, 0) + 1
-    return profile
 
 
 def block_value(n: int, j: int) -> int:
@@ -185,7 +167,7 @@ def _decrease_case(a: IntegerSet, scan_bound: int) -> _DecreasePlan:
     """The case split of `predict_r2_decrease`, without verification."""
     if scan_bound < 1:
         raise ValueError("scan bound must be positive")
-    cs = complement_prefix(a, 3, scan_bound).elements
+    cs = complement_prefix(a, 3, scan_bound)
     if not cs:
         raise InsufficientComplementError(
             f"no missing values of {a.spec()} at or below {scan_bound}"

@@ -89,8 +89,9 @@ class TestExitCodes:
             ("witness", "--set", "nat", "--max", "16777216"),
             ("witness", "--set", "complement(pow2)", "--max", "16777216"),
             ("render", "--set", "nat", "--max", "4194304", "--format", "svg"),
+            ("render", "--set", "nat", "--max", "4194304", "--format", "ascii"),
         ],
-        ids=["witness-nat", "witness-complement-pow2", "render-svg"],
+        ids=["witness-nat", "witness-complement-pow2", "render-svg", "render-ascii"],
     )
     def test_budget_checked_before_allocating(self, capsys, argv):
         tracemalloc.start()

@@ -18,9 +18,9 @@ from repfn.core import (
     r3_at,
     table_from_r1,
 )
-from repfn.errors import BudgetExceededError, IncompletePrefixError, SelfCheckError
+from repfn.errors import BudgetExceededError, SelfCheckError
 from repfn.pool import mixed_pool
-from repfn.sets import ComplementPrefix, complement_prefix, min_element, parse_set_spec, shift_down
+from repfn.sets import min_element, parse_set_spec, shift_down
 from repfn.verify import _r1_word_parallel
 
 
@@ -257,46 +257,27 @@ class TestShiftIdentity:
 
 class TestComplementPath:
     def test_known_values(self):
-        assert r1_via_complement(ComplementPrefix((1,), True, 100), 4) == 3
-        assert r1_via_complement(ComplementPrefix((), True, 100), 9) == 10
-        assert r1_via_complement(ComplementPrefix((2, 4, 8), True, 100), 10) == 7
+        assert r1_via_complement(parse_set_spec("complement(finite:1)"), 4) == 3
+        assert r1_via_complement(parse_set_spec("nat"), 9) == 10
+        assert r1_via_complement(parse_set_spec("complement(pow2)"), 10) == 7
 
     def test_matches_direct_count(self):
         a = parse_set_spec("complement(finite:2,4,8,9,15)")
-        prefix = complement_prefix(a, 10, 200)
         for n in range(120):
-            assert r1_via_complement(prefix, n) == r1_at(a, n)
-
-    def test_incomplete_prefix_rejected(self):
-        # truncated by count: elements stop at 4 but more misses exist below 100
-        truncated = ComplementPrefix((2, 4), False, 100)
-        with pytest.raises(IncompletePrefixError):
-            r1_via_complement(truncated, 50)
-        # exhausted but the scan never reached n
-        short = ComplementPrefix((2, 4), True, 10)
-        with pytest.raises(IncompletePrefixError):
-            r1_via_complement(short, 50)
-
-    def test_truncated_prefix_ok_below_last_element(self):
-        truncated = ComplementPrefix((2, 4, 8), False, 100)
-        assert r1_via_complement(truncated, 7) == r1_at(parse_set_spec("complement(pow2)"), 7)
+            assert r1_via_complement(a, n) == r1_at(a, n)
 
     def test_array_form_matches_naive(self):
         a = parse_set_spec("complement(finite:1,2,6,30,101)")
-        arr = r1_array_via_complement((1, 2, 6, 30, 101), 500)
+        arr = r1_array_via_complement(a, 500)
         t = batch_table(a, 500, "naive")
         assert np.array_equal(arr, t.r1)
 
     def test_array_form_empty_misses(self):
-        assert r1_array_via_complement((), 5).tolist() == [1, 2, 3, 4, 5, 6]
-
-    def test_array_form_validates_order(self):
-        with pytest.raises(ValueError):
-            r1_array_via_complement((4, 2), 10)
+        assert r1_array_via_complement(parse_set_spec("nat"), 5).tolist() == [1, 2, 3, 4, 5, 6]
 
     def test_table_from_r1(self):
         a = parse_set_spec("complement(pow2)")
-        arr = r1_array_via_complement((2, 4, 8, 16, 32), 40)
+        arr = r1_array_via_complement(a, 40)
         t = table_from_r1(a, arr)
         direct = batch_table(a, 40, "naive")
         assert np.array_equal(t.r2, direct.r2)

@@ -1,8 +1,10 @@
+import tracemalloc
 from xml.etree import ElementTree
 
 import pytest
 
-from repfn.core import batch_table
+from repfn import diagram
+from repfn.core import DEFAULT_MEMORY_BUDGET, batch_table
 from repfn.diagram import _point_count, diagram_points, render_diagram, svg_column_counts
 from repfn.errors import BudgetExceededError
 from repfn.pool import mixed_pool
@@ -75,6 +77,22 @@ class TestBudget:
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceededError):
             render_diagram(parse_set_spec("nat"), 100, "ascii", budget=100)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "svg"])
+    @pytest.mark.parametrize("spec", ["nat", "pow2", "complement(pow2)", "periodic:1;10", "empty"])
+    @pytest.mark.parametrize("max_sum", [0, 7, 41, 150])
+    def test_estimate_covers_traced_peak(self, fmt, spec, max_sum):
+        a = parse_set_spec(spec)
+        tracemalloc.start()
+        try:
+            render_diagram(a, max_sum, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        estimate = diagram._estimate_bytes(fmt, a, max_sum, DEFAULT_MEMORY_BUDGET)
+        assert estimate >= peak
+        if max_sum >= 150:
+            assert estimate <= 2 * peak
 
     def test_bad_format(self):
         with pytest.raises(ValueError):

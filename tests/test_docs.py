@@ -14,6 +14,7 @@ import pytest
 import repfn
 from repfn.cli import build_parser
 from repfn.core import STRATEGIES
+from repfn.verify import SUITE_NAMES
 
 PACKAGE_DIR = Path(repfn.__file__).parent
 README = Path(__file__).parents[1] / "README.md"
@@ -60,6 +61,12 @@ def test_readme_lists_exactly_the_subcommands():
     assert examples == choices
     assert described == choices
     assert count == NUMBER_WORDS[len(choices)]
+
+
+def test_readme_lists_exactly_the_suites():
+    section = _readme_section("Verification suites")
+    listed = re.findall(r"^\| `([a-z0-9-]+)`", section, flags=re.MULTILINE)
+    assert listed == list(SUITE_NAMES)
 
 
 def test_readme_lists_exactly_the_strategies():

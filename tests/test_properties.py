@@ -1,8 +1,18 @@
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repfn.core import RepKind, batch_table, r1_at, r2_at, r3_at
+from repfn.core import (
+    RepKind,
+    batch_table,
+    r1_array_via_complement,
+    r1_at,
+    r1_via_complement,
+    r2_at,
+    r3_at,
+    sparse_r1,
+)
 from repfn.errors import EmptySetError, InsufficientComplementError
 from repfn.sets import (
     FiniteSet,
@@ -99,10 +109,22 @@ def test_shift_identity_pointwise(a, n):
 @COMMON
 @given(integer_sets(), st.integers(1, 6), st.integers(0, 90))
 def test_complement_prefix_matches_scan(a, count, bound):
-    p = complement_prefix(a, count, bound)
     missing = [n for n in range(bound + 1) if not a.contains(n)]
-    assert list(p.elements) == missing[:count]
-    assert p.exhausted == (len(missing) <= count)
+    assert list(complement_prefix(a, count, bound)) == missing[:count]
+
+
+@COMMON
+@given(integer_sets(), st.integers(0, 90))
+def test_sparse_routes_match_naive(a, max_n):
+    r1 = batch_table(a, max_n, "naive").r1
+    assert np.array_equal(r1_array_via_complement(a, max_n), r1)
+    assert sparse_r1(a, max_n) == {int(n): int(r1[n]) for n in np.flatnonzero(r1)}
+
+
+@COMMON
+@given(integer_sets(), st.integers(0, 120))
+def test_scalar_complement_route_matches_pointwise(a, n):
+    assert r1_via_complement(a, n) == r1_at(a, n)
 
 
 @settings(max_examples=25, deadline=None)

@@ -162,27 +162,22 @@ class TestComplement:
 
 class TestComplementPrefix:
     def test_cofinite_exhausts(self):
-        p = complement_prefix(parse_set_spec("complement(finite:2,5)"), 2, 100)
-        assert p.elements == (2, 5)
-        assert p.exhausted
+        # asking for more missing values than exist returns all of them
+        p = complement_prefix(parse_set_spec("complement(finite:2,5)"), 3, 100)
+        assert p == (2, 5)
 
     def test_full_set_empty_prefix(self):
-        p = complement_prefix(parse_set_spec("nat"), 4, 50)
-        assert p.elements == ()
-        assert p.exhausted
+        assert complement_prefix(parse_set_spec("nat"), 4, 50) == ()
 
     def test_pow2_complement(self):
-        p = complement_prefix(parse_set_spec("complement(pow2)"), 3, 100)
-        assert p.elements == (2, 4, 8)
-        assert not p.exhausted  # 16, 32, 64 remain below the bound
+        # 16, 32 and 64 are missing below the bound too, but only 3 were asked for
+        assert complement_prefix(parse_set_spec("complement(pow2)"), 3, 100) == (2, 4, 8)
 
     def test_matches_direct_scan(self):
         for spec in ("pow2", "periodic:10;0110", "complement(finite:0,7)"):
             a = parse_set_spec(spec)
             missing = [n for n in range(61) if not a.contains(n)]
-            p = complement_prefix(a, 5, 60)
-            assert list(p.elements) == missing[:5]
-            assert p.exhausted == (len(missing) <= 5)
+            assert list(complement_prefix(a, 5, 60)) == missing[:5]
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
@@ -202,7 +197,7 @@ class TestShift:
         a = parse_set_spec("complement(finite:0,3,8)")
         assert min_element(a) == 1
         shifted = shift_down(a, 1)
-        assert complement_prefix(shifted, 2, 100).elements == (2, 7)
+        assert complement_prefix(shifted, 2, 100) == (2, 7)
 
     def test_membership_translation(self):
         a = parse_set_spec("periodic:0011;101")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repfn.core import RepKind, batch_table, r1_at, r2_at
+from repfn.core import RepKind, batch_table, r1_array_via_complement, r1_at, r2_at, sparse_r1
 from repfn.errors import EmptySetError, InsufficientComplementError
 from repfn.monotonicity import find_violations
 from repfn.pool import decrease_pool, mixed_pool
@@ -16,7 +16,6 @@ from repfn.witnesses import (
     predict_r2_decrease,
     refute_strict_increase,
     remove_first_powers,
-    sparse_r1_profile,
     violation_bound,
 )
 
@@ -65,12 +64,12 @@ class TestViolationCountBound:
 class TestSparseProfile:
     def test_matches_pointwise(self):
         a = PowersOfTwo()
-        profile = sparse_r1_profile(300)
+        profile = sparse_r1(a, 300)
         for n in range(301):
             assert profile.get(n, 0) == r1_at(a, n)
 
     def test_every_sum_is_even(self):
-        assert all(n % 2 == 0 for n in sparse_r1_profile(10**4))
+        assert all(n % 2 == 0 for n in sparse_r1(PowersOfTwo(), 10**4))
 
 
 class TestBlockValues:
@@ -244,7 +243,7 @@ class TestBoundsAgainstReports:
 
     @pytest.mark.parametrize("max_n", [2**10, 2**14, 2**17, 2**20])
     def test_variant_one_bound_via_sparse_profile(self, max_n):
-        profile = sparse_r1_profile(max_n)
+        profile = sparse_r1(almost_monotone_set(1), max_n)
         bound = violation_bound(1, max_n)
         assert len(profile) <= bound
         violations = sum(
@@ -254,10 +253,7 @@ class TestBoundsAgainstReports:
 
     @pytest.mark.parametrize("max_n", [2**10, 2**14, 2**17, 2**20])
     def test_variant_two_bound_via_complement_path(self, max_n):
-        from repfn.core import r1_array_via_complement
-
-        misses = [2**i for i in range(1, max_n.bit_length()) if 2**i <= max_n]
-        r1 = r1_array_via_complement(misses, max_n)
+        r1 = r1_array_via_complement(almost_monotone_set(2), max_n)
         failures = int(np.count_nonzero(r1[1:] <= r1[:-1]))
         assert failures <= violation_bound(2, max_n)
 
