@@ -265,7 +265,7 @@ def sparse_r1(a: IntegerSet, max_n: int) -> dict[int, int]:
     n absent from the map has r1 = 0.  Every ordered member pair is visited,
     so the cost is the square of the member count up to max_n."""
     _check_n(max_n)
-    members = np.flatnonzero(membership_array(a, max_n)).tolist()
+    members = a.members(max_n)
     sums = Counter(x + y for x in members for y in members if x + y <= max_n)
     return dict(sorted(sums.items()))
 

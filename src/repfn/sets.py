@@ -21,8 +21,9 @@ membership of the integer k.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import EmptySetError, SetSpecError
 
@@ -59,6 +60,10 @@ class IntegerSet:
         """Memberships of 0..max_n as a bytes object of 0/1 values."""
         raise NotImplementedError
 
+    def members(self, max_n: int) -> list[int]:
+        """Members up to max_n in increasing order."""
+        return list(compress(range(max_n + 1), self.membership_bytes(max_n)))
+
 
 @dataclass(frozen=True)
 class FiniteSet(IntegerSet):
@@ -93,6 +98,9 @@ class FiniteSet(IntegerSet):
                 break
             out[e] = 1
         return bytes(out)
+
+    def members(self, max_n: int) -> list[int]:
+        return list(self.elements[: bisect_right(self.elements, max_n)])
 
 
 @dataclass(frozen=True)
@@ -145,6 +153,9 @@ class PowersOfTwo(IntegerSet):
             p <<= 1
         return bytes(out)
 
+    def members(self, max_n: int) -> list[int]:
+        return [1 << k for k in range(1, max(max_n, 0).bit_length())]
+
 
 # translate() table flipping the 0/1 byte values a membership_bytes produces
 _FLIP = bytes([1, 0]) + bytes(range(2, 256))
@@ -190,6 +201,9 @@ class Shifted(IntegerSet):
 
     def membership_bytes(self, max_n: int) -> bytes:
         return self.inner.membership_bytes(max_n + self.offset)[self.offset :]
+
+    def members(self, max_n: int) -> list[int]:
+        return [m - self.offset for m in self.inner.members(max_n + self.offset)]
 
 
 def contains(a: IntegerSet, n: int) -> bool:

@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import diagram, pool
 from .core import (
@@ -78,34 +79,46 @@ class SuiteResult:
 
 
 def _half_range_counts(memf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """r2 and r3 by direct half-range dot products, one n at a time.
+    """r2 and r3 by direct pair counting, one member row at a time.
 
-    This is a deliberately separate route from both the closed forms and
-    the table construction (which derives r2/r3 from r1).
+    Member x adds its pairs (x, y) with x <= y, or x < y for r3, as one
+    slice landing at n = x + y.  No convolution, FFT or r1 is involved, so
+    this route stays independent of both the closed forms and the table
+    construction (which derives r2/r3 from r1).
     """
     size = len(memf)
-    r2 = np.empty(size, dtype=np.int64)
-    r3 = np.empty(size, dtype=np.int64)
-    for n in range(size):
-        rev = memf[n::-1]
-        k2 = n // 2 + 1
-        r2[n] = int(np.dot(memf[:k2], rev[:k2]))
-        k3 = (n + 1) // 2
-        r3[n] = int(np.dot(memf[:k3], rev[:k3])) if k3 else 0
+    m = memf.astype(np.int64)
+    r2 = np.zeros(size, dtype=np.int64)
+    r3 = np.zeros(size, dtype=np.int64)
+    for x in np.flatnonzero(m[: (size + 1) // 2]).tolist():
+        r2[2 * x :] += m[x : size - x]
+        r3[2 * x + 1 :] += m[x + 1 : size - x]
     return r2, r3
 
 
 def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
-    # r1(n) is the overlap popcount between the membership bits of [0, n]
-    # and their reversal; the reversal is maintained incrementally.
-    mask = int.from_bytes(np.packbits(mem, bitorder="little").tobytes(), "little")
-    out = []
-    append = out.append
-    rev = 0
-    for bit in mem.tobytes():
-        rev = (rev << 1) | bit
-        append((mask & rev).bit_count())
-    return np.array(out, dtype=np.int64)
+    """r1 by AND and popcount over little-endian 64-bit membership words.
+
+    r1(n) is the overlap of the bits with their reversal shifted by
+    s = len - 1 - n.  For each bit offset b < 64, row q of a sliding word
+    window over the reversal shifted by b sits at s = 64q + b, so one (w, w)
+    AND-and-popcount block gives all those shifts.  No convolution or FFT is
+    involved, so the route stays independent of the r1 kernels it checks.
+    """
+    size = len(mem)
+    w = (size + 63) // 64
+    bits = np.zeros(128 * w, dtype=np.uint8)
+    bits[:size] = mem
+    words = np.packbits(bits[: 64 * w], bitorder="little").view("<u8")
+    rev = mem[::-1]
+    by_shift = np.zeros((w, 64), dtype=np.int64)
+    for b in range(min(64, size)):
+        bits[: size - b] = rev[b:]
+        bits[size - b : size] = 0
+        shifted = np.packbits(bits, bitorder="little").view("<u8")
+        rows = sliding_window_view(shifted, w)[:w] & words
+        by_shift[:, b] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+    return by_shift.ravel()[size - 1 :: -1]
 
 
 def _mismatch_details(expected: np.ndarray, got: np.ndarray) -> dict:

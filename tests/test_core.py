@@ -16,12 +16,13 @@ from repfn.core import (
     r1_via_complement,
     r2_at,
     r3_at,
+    sparse_r1,
     table_from_r1,
 )
 from repfn.errors import BudgetExceededError, SelfCheckError
-from repfn.pool import mixed_pool
-from repfn.sets import min_element, parse_set_spec, shift_down
-from repfn.verify import _r1_word_parallel
+from repfn.pool import mixed_pool, periodic_pool
+from repfn.sets import PowersOfTwo, min_element, parse_set_spec, shift_down
+from repfn.verify import _half_range_counts, _r1_word_parallel
 
 
 def brute_counts(a, n):
@@ -282,6 +283,93 @@ class TestComplementPath:
         direct = batch_table(a, 40, "naive")
         assert np.array_equal(t.r2, direct.r2)
         assert np.array_equal(t.r3, direct.r3)
+
+
+class TestSparseR1:
+    def test_pow2_reads_members_from_descriptor(self):
+        sparse_r1(PowersOfTwo(), 10)
+        tracemalloc.start()
+        try:
+            profile = sparse_r1(PowersOfTwo(), 2**24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(PowersOfTwo().members(2**24)) == 24
+        assert profile[2**24] == 1 and profile[2**23 + 2] == 2
+        assert peak < 64 * 1024
+
+
+# lengths around every 64-bit word boundary below 200 and at 2^12 and 2^15
+WORD_LENGTHS = list(range(1, 201)) + [4095, 4096, 4097, 32767, 32768, 32769]
+
+
+def _dot_half_range_counts(memf):
+    # the former per-n route, kept as a reference: two dot products per n
+    size = len(memf)
+    r2 = np.empty(size, dtype=np.int64)
+    r3 = np.empty(size, dtype=np.int64)
+    for n in range(size):
+        rev = memf[n::-1]
+        k2 = n // 2 + 1
+        r2[n] = int(np.dot(memf[:k2], rev[:k2]))
+        k3 = (n + 1) // 2
+        r3[n] = int(np.dot(memf[:k3], rev[:k3])) if k3 else 0
+    return r2, r3
+
+
+class TestWordParallel:
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 0.95, 1.0])
+    def test_matches_naive(self, fill):
+        rng = np.random.default_rng(int(fill * 100))
+        for length in WORD_LENGTHS:
+            mem = (rng.random(length) < fill).astype(np.uint8)
+            got = _r1_word_parallel(mem)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, core._r1_naive(mem)), length
+
+    def test_read_only_membership(self):
+        for a in mixed_pool(6, seed=4):
+            for max_n in (0, 63, 64, 1000):
+                mem = core.membership_array(a, max_n)
+                assert not mem.flags.writeable
+                assert np.array_equal(_r1_word_parallel(mem), core._r1_naive(mem))
+
+
+class TestHalfRangeCounts:
+    def test_matches_pointwise(self):
+        for a in mixed_pool(8, seed=5):
+            memf = core.membership_array(a, 150).astype(np.float64)
+            r2, r3 = _half_range_counts(memf)
+            assert r2.tolist() == [r2_at(a, n) for n in range(151)]
+            assert r3.tolist() == [r3_at(a, n) for n in range(151)]
+
+    def test_matches_dot_product_route(self):
+        for a in periodic_pool(10, seed=7):
+            memf = core.membership_array(a, 2000).astype(np.float64)
+            for got, want in zip(_half_range_counts(memf), _dot_half_range_counts(memf)):
+                assert np.array_equal(got, want)
+
+
+def test_oracle_routes_use_no_r1_kernel(monkeypatch):
+    # neither oracle may quietly become a second copy of the kernel it checks
+    a = parse_set_spec("periodic:0110;10011")
+    mem = core.membership_array(a, 3000)
+    want = batch_table(a, 3000, "naive")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle route reached an r1 kernel")
+
+    for owner, name in (
+        (np, "convolve"),
+        (np.fft, "rfft"),
+        (np.fft, "irfft"),
+        (core, "_r1_naive"),
+        (core, "_r1_fft"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    r2, r3 = _half_range_counts(mem.astype(np.float64))
+    assert np.array_equal(r2, want.r2) and np.array_equal(r3, want.r3)
+    assert np.array_equal(_r1_word_parallel(mem), want.r1)
 
 
 class TestSerialization:

@@ -85,6 +85,26 @@ class TestMembershipBytes:
         assert len(bts) == 151
         assert list(bts) == [int(a.contains(n)) for n in range(151)]
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "empty",
+            "nat",
+            "pow2",
+            "finite:0,3,17",
+            "periodic:110;10",
+            "complement(pow2)",
+            "shift(2,pow2)",
+            "shift(3,finite:3,5,9)",
+            "shift(1,periodic:01;1)",
+            "shift(1,complement(finite:0,3,8))",
+        ],
+    )
+    def test_members_match_contains(self, spec):
+        a = parse_set_spec(spec)
+        for max_n in range(70):
+            assert a.members(max_n) == [n for n in range(max_n + 1) if a.contains(n)]
+
 
 class TestParse:
     @pytest.mark.parametrize(
