@@ -9,6 +9,7 @@ CSV or JSON document; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,10 @@ from .witnesses import first_r2_decrease_bruteforce, predict_r2_decrease
 DEFAULT_WITNESS_SCAN = 512
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process: it costs more than most requests, and
+    `parse_args` leaves it unchanged and returns a fresh namespace."""
     p = argparse.ArgumentParser(
         prog="repfn",
         description="Additive representation functions r1, r2, r3 over decidable integer sets.",

@@ -30,7 +30,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BudgetExceededError, SelfCheckError
-from .sets import IntegerSet, complement, complement_prefix
+from .sets import IntegerSet, complement
 
 __all__ = [
     "RepKind",
@@ -274,7 +274,7 @@ def r1_via_complement(a: IntegerSet, n: int) -> int:
     """r1(a, n) by inclusion-exclusion over the values a misses up to n:
     (n + 1) - 2 * #misses + #ordered miss pairs summing to n."""
     _check_n(n)
-    misses = complement_prefix(a, n + 1, n)
+    misses = complement(a).members(n)
     present = set(misses)
     pairs = sum(1 for c in misses if (n - c) in present)
     return (n + 1) - 2 * len(misses) + pairs

@@ -22,13 +22,16 @@ _CELL = 12  # svg lattice spacing in pixels
 _MARGIN = 10
 _RADIUS = 3
 # Budget terms above the tracemalloc peaks of render_diagram (max_sum up to
-# 600): about 6 KB of first-call scratch; per ascii cell, a grid slot, two
-# text characters and a share of the row headers (10.2 bytes); per point,
-# an (n, x) tuple in a list (at most 83 bytes) or an svg circle element with
-# its attributes and serialised text (at most 850).
-_FIXED_BYTES = 8192
+# 300).  Counting the points holds the membership bytes, two int64 vectors
+# and about 6 KB of scratch.  Rendering holds the membership bytes and under
+# 1 KB of scratch, then per ascii cell a grid slot, two text characters and
+# a share of the row headers (10.2 bytes), and per point an (n, x) tuple in
+# a list (at most 83 bytes), or that tuple with its svg circle text and its
+# share of the joined document (at most 193).
+_COUNT_BYTES = 8192
+_RENDER_BYTES = 2048
 _CELL_BYTES = {"ascii": 12, "svg": 0}
-_POINT_BYTES = {"ascii": 96, "svg": 1024}
+_POINT_BYTES = {"ascii": 96, "svg": 256}
 
 
 def diagram_points(a: IntegerSet, max_sum: int) -> list[tuple[int, int]]:
@@ -69,12 +72,13 @@ def render_diagram(
 
 
 def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int, budget: int) -> int:
-    # counting the points takes the membership bytes and two int64 vectors,
-    # so a count over budget is refused before it is taken
-    before = _FIXED_BYTES + 17 * (max_sum + 1) + _CELL_BYTES[fmt] * (max_sum + 1) ** 2
-    if before > budget:
-        return before
-    return before + _POINT_BYTES[fmt] * _point_count(a, max_sum)
+    # the two phases do not hold memory at the same time, so the estimate is
+    # the larger of them; the points are counted only if the rest fits
+    counting = _COUNT_BYTES + 17 * (max_sum + 1)
+    rendering = _RENDER_BYTES + (max_sum + 1) + _CELL_BYTES[fmt] * (max_sum + 1) ** 2
+    if max(counting, rendering) <= budget:
+        rendering += _POINT_BYTES[fmt] * _point_count(a, max_sum)
+    return max(counting, rendering)
 
 
 def _point_count(a: IntegerSet, max_sum: int) -> int:
@@ -94,22 +98,18 @@ def _render_ascii(points: list[tuple[int, int]], max_sum: int) -> str:
 
 def _render_svg(points: list[tuple[int, int]], max_sum: int) -> str:
     side = 2 * _MARGIN + max_sum * _CELL
-    root = ElementTree.Element(
-        "svg",
-        xmlns="http://www.w3.org/2000/svg",
-        width=str(side),
-        height=str(side),
-        viewBox=f"0 0 {side} {side}",
+    head = (
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{side}" height="{side}"'
+        f' viewBox="0 0 {side} {side}"'
     )
-    for x, y in points:
-        ElementTree.SubElement(
-            root,
-            "circle",
-            cx=str(_MARGIN + x * _CELL),
-            cy=str(_MARGIN + (max_sum - y) * _CELL),
-            r=str(_RADIUS),
-        )
-    return ElementTree.tostring(root, encoding="unicode") + "\n"
+    if not points:
+        return head + " />\n"
+    circles = "".join(
+        f'<circle cx="{_MARGIN + x * _CELL}" cy="{_MARGIN + (max_sum - y) * _CELL}"'
+        f' r="{_RADIUS}" />'
+        for x, y in points
+    )
+    return f"{head}>{circles}</svg>\n"
 
 
 def svg_column_counts(svg_text: str, max_sum: int) -> list[int]:

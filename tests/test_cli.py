@@ -1,4 +1,7 @@
+import argparse
 import json
+import os
+import re
 import subprocess
 import sys
 import time
@@ -207,6 +210,67 @@ class TestVerify:
 
     def test_unknown_suite_rejected(self, capsys):
         assert run_cli(capsys, "verify", "nonsense")[0] == 2
+
+
+def run_fresh(*argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repfn", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    return proc.returncode, proc.stdout
+
+
+def zero_elapsed(out):
+    return re.sub(r'"elapsed_seconds": [0-9.e-]+', '"elapsed_seconds": 0', out)
+
+
+class TestParserReuse:
+    """`main` shares one parser across calls; no call may see another's state."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
+        inproc, fresh = tmp_path / "inproc.csv", tmp_path / "fresh.csv"
+        table = ("table", "--set", "pow2", "--max", "5")
+        steps = [
+            (("table", "--set", "nat", "--max", "4", "--frobnicate"), 2),
+            (("--help",), 0),
+            (table + ("--format", "json"), 0),
+            (table, 0),
+            (table + ("--out", "{out}"), 0),
+            (table, 0),
+            (("verify", "closed-forms", "--self-test-corrupt"), 1),
+            (("verify", "closed-forms"), 0),
+        ]
+        for argv, expected in steps:
+            code, out, _ = run_cli(capsys, *(arg.format(out=inproc) for arg in argv))
+            fresh_code, fresh_out = run_fresh(*(arg.format(out=fresh) for arg in argv))
+            assert code == fresh_code == expected, argv
+            assert zero_elapsed(out) == zero_elapsed(fresh_out), argv
+        assert inproc.read_text() == fresh.read_text()
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        main(["density", "--set", "pow2", "--max", "16"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        calls = [
+            ["table", "--set", "nat", "--max", "6"],
+            ["violations", "--set", "pow2", "--max", "10"],
+            ["density", "--set", "pow2", "--max", "64"],
+            ["render", "--set", "nat", "--max", "4", "--format", "ascii"],
+            ["table", "--set", "nat"],
+        ]
+        for argv in calls * 4:
+            main(argv)
+        capsys.readouterr()
+        assert built == []
 
 
 class TestDataStreamPurity:

@@ -276,6 +276,21 @@ class TestComplementPath:
     def test_array_form_empty_misses(self):
         assert r1_array_via_complement(parse_set_spec("nat"), 5).tolist() == [1, 2, 3, 4, 5, 6]
 
+    def test_scalar_form_reads_misses_from_descriptor(self):
+        a = parse_set_spec("complement(pow2)")
+        r1_via_complement(a, 10)
+        tracemalloc.start()
+        try:
+            r1_via_complement(a, 2**24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        # the n the density-one suite samples
+        ns = (0, 1, 2, 5, 6, 100, 2**15, 2**20 - 1)
+        arr = r1_array_via_complement(a, ns[-1])
+        assert [r1_via_complement(a, n) for n in ns] == [int(arr[n]) for n in ns]
+
     def test_table_from_r1(self):
         a = parse_set_spec("complement(pow2)")
         arr = r1_array_via_complement(a, 40)

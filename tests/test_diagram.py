@@ -11,6 +11,27 @@ from repfn.pool import mixed_pool
 from repfn.sets import parse_set_spec
 
 
+def elementtree_svg(points, max_sum):
+    # the former writer, kept as the reference the string writer must match
+    side = 2 * diagram._MARGIN + max_sum * diagram._CELL
+    root = ElementTree.Element(
+        "svg",
+        xmlns="http://www.w3.org/2000/svg",
+        width=str(side),
+        height=str(side),
+        viewBox=f"0 0 {side} {side}",
+    )
+    for x, y in points:
+        ElementTree.SubElement(
+            root,
+            "circle",
+            cx=str(diagram._MARGIN + x * diagram._CELL),
+            cy=str(diagram._MARGIN + (max_sum - y) * diagram._CELL),
+            r=str(diagram._RADIUS),
+        )
+    return ElementTree.tostring(root, encoding="unicode") + "\n"
+
+
 def ascii_column_counts(text, max_sum):
     rows = text.strip("\n").split("\n")
     return [sum(row[x] == "*" for row in rows) for x in range(max_sum + 1)]
@@ -72,6 +93,13 @@ class TestSvg:
         svg = render_diagram(parse_set_spec("empty"), 5, "svg")
         assert svg_column_counts(svg, 5) == [0] * 6
 
+    def test_matches_elementtree_writer(self):
+        sets = mixed_pool(10, seed=5) + [parse_set_spec("empty"), parse_set_spec("nat")]
+        for a in sets:
+            for max_sum in (0, 1, 7, 41):
+                expected = elementtree_svg(diagram_points(a, max_sum), max_sum)
+                assert render_diagram(a, max_sum, "svg") == expected, (a.spec(), max_sum)
+
 
 class TestBudget:
     def test_budget_exceeded(self):
@@ -80,7 +108,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("fmt", ["ascii", "svg"])
     @pytest.mark.parametrize("spec", ["nat", "pow2", "complement(pow2)", "periodic:1;10", "empty"])
-    @pytest.mark.parametrize("max_sum", [0, 7, 41, 150])
+    @pytest.mark.parametrize("max_sum", [0, 7, 41, 150, 300])
     def test_estimate_covers_traced_peak(self, fmt, spec, max_sum):
         a = parse_set_spec(spec)
         tracemalloc.start()
