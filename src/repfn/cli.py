@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_WITNESS_SCAN,
         metavar="N",
-        help=f"complement scan bound (default {DEFAULT_WITNESS_SCAN})",
+        help=f"range of the brute-force comparison (default {DEFAULT_WITNESS_SCAN})",
     )
     _add_common(w)
     w.set_defaults(func=cmd_witness)
@@ -150,7 +150,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
     # the brute-force table checks the budget before anything is allocated
     first = first_r2_decrease_bruteforce(a, args.max, memory_budget=args.budget)
-    obj = predict_r2_decrease(a, args.max).to_json_obj()
+    obj = predict_r2_decrease(a, memory_budget=args.budget).to_json_obj()
     obj["scan_bound"] = args.max
     obj["brute_force_first"] = first
     _emit(args, json.dumps(obj) + "\n")

@@ -20,10 +20,10 @@ class EmptySetError(RepfnError, ValueError):
 
 
 class InsufficientComplementError(RepfnError, RuntimeError):
-    """Too few complement elements were found to resolve a decrease case.
+    """The set misses fewer values than the decrease case split needs.
 
-    This does not mean the set has no decrease; it means the descriptor
-    and scan bound cannot certify one.
+    The missing values are read from the descriptor, so this is a fact
+    about the set, not about how far it was searched.
     """
 
 

@@ -88,11 +88,9 @@ _DECREASE_EXEMPLARS = (
 )
 
 
-def decrease_pool(
-    count: int, seed: int = DEFAULT_SEED, scan_bound: int = 512
-) -> list[IntegerSet]:
-    """Sets exposing at least three missing values within the scan bound,
-    restricted to those whose decrease case is resolvable."""
+def decrease_pool(count: int, seed: int = DEFAULT_SEED) -> list[IntegerSet]:
+    """Sets missing at least three values, restricted to those whose
+    decrease case is resolvable."""
     rng = random.Random(seed)
     out = [parse_set_spec(s) for s in _DECREASE_EXEMPLARS]
     while len(out) < count:
@@ -101,9 +99,7 @@ def decrease_pool(
             s = random_periodic(rng, require_zero_in_period=True)
         else:
             s = random_cofinite(rng, max_size=8)
-        if len(complement_prefix(s, 3, scan_bound)) < 3:
-            continue
-        if not decrease_case_resolvable(s, scan_bound):
+        if len(complement_prefix(s, 3)) < 3 or not decrease_case_resolvable(s):
             continue
         out.append(s)
     return out[:count]

@@ -2,9 +2,9 @@
 
 Five descriptor kinds cover everything the rest of the package needs:
 explicit finite lists, eventually periodic bit patterns, the powers of two
-2, 4, 8, ..., complements, and downward shifts.  Membership of any n is
-decided in time bounded by the descriptor size, so every operation here
-terminates without unbounded search.
+2, 4, 8, ..., complements, and downward shifts.  Membership of any n, and
+the next member or missing value from any k (`next_value`), are decided in
+time bounded by the descriptor size, so nothing here scans up to a value.
 
 The textual mini-language (`parse_set_spec`) is:
 
@@ -52,6 +52,10 @@ class IntegerSet:
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        """Least member n >= k (with member=False, least missing n >= k) or None."""
+        raise NotImplementedError
+
     def spec(self) -> str:
         """Canonical set-spec string; `parse_set_spec` round-trips it."""
         raise NotImplementedError
@@ -85,6 +89,15 @@ class FiniteSet(IntegerSet):
     def contains(self, n: int) -> bool:
         i = bisect_left(self.elements, n)
         return i < len(self.elements) and self.elements[i] == n
+
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        elems = self.elements
+        i = bisect_left(elems, k)
+        if member:
+            return elems[i] if i < len(elems) else None
+        while i < len(elems) and elems[i] == k:
+            i, k = i + 1, k + 1
+        return k
 
     def spec(self) -> str:
         if not self.elements:
@@ -122,6 +135,13 @@ class PeriodicSet(IntegerSet):
             return self.preperiod[n] == "1"
         return self.period[(n - len(self.preperiod)) % len(self.period)] == "1"
 
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        # the bits from k on: the rest of the preperiod, then one full period
+        pre = len(self.preperiod)
+        phase = (max(k, pre) - pre) % len(self.period)
+        i = (self.preperiod[k:] + self.period[phase:] + self.period[:phase]).find("01"[member])
+        return None if i == -1 else k + i
+
     def spec(self) -> str:
         return f"periodic:{self.preperiod};{self.period}"
 
@@ -141,6 +161,12 @@ class PowersOfTwo(IntegerSet):
 
     def contains(self, n: int) -> bool:
         return n >= 2 and (n & (n - 1)) == 0
+
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        if member:
+            return 1 << (max(k, 2) - 1).bit_length()
+        # no two consecutive integers are both powers of two >= 2
+        return k + 1 if self.contains(k) else k
 
     def spec(self) -> str:
         return "pow2"
@@ -167,6 +193,9 @@ class Complement(IntegerSet):
 
     def contains(self, n: int) -> bool:
         return not self.inner.contains(n)
+
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        return self.inner.next_value(k, not member)
 
     def spec(self) -> str:
         if self.inner == FiniteSet():
@@ -195,6 +224,10 @@ class Shifted(IntegerSet):
 
     def contains(self, n: int) -> bool:
         return self.inner.contains(n + self.offset)
+
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        n = self.inner.next_value(k + self.offset, member)
+        return None if n is None else n - self.offset
 
     def spec(self) -> str:
         return f"shift({self.offset},{self.inner.spec()})"
@@ -232,50 +265,25 @@ def shift_down(a: IntegerSet, m: int) -> IntegerSet:
     return Shifted(a, m)
 
 
-def _horizon(a: IntegerSet, k: int, member: bool) -> int:
-    """If a has a member (or, with member=False, a missing value) >= k, it
-    has one below the returned bound."""
-    if isinstance(a, FiniteSet):
-        if member:
-            return a.elements[-1] + 1 if a.elements else k
-        return k + len(a.elements) + 1
-    if isinstance(a, PeriodicSet):
-        return max(k, len(a.preperiod)) + len(a.period)
-    if isinstance(a, PowersOfTwo):
-        # the next power of two at or above max(k, 2) is below 2*max(k, 2),
-        # and no two consecutive integers are both powers of two >= 2
-        return max(3, 2 * k) if member else k + 2
-    if isinstance(a, Complement):
-        return _horizon(a.inner, k, not member)
-    if isinstance(a, Shifted):
-        return max(_horizon(a.inner, k + a.offset, member) - a.offset, k)
-    raise TypeError(f"unknown descriptor {type(a).__name__}")
-
-
 def min_element(a: IntegerSet) -> int:
-    """Least member of a.
-
-    The scan range is derived from the descriptor, so the call always
-    terminates with either the minimum or EmptySetError.
-    """
-    for n in range(_horizon(a, 0, True)):
-        if a.contains(n):
-            return n
-    raise EmptySetError(f"{a.spec()} has no elements")
+    """Least member of a, or EmptySetError."""
+    m = a.next_value(0)
+    if m is None:
+        raise EmptySetError(f"{a.spec()} has no elements")
+    return m
 
 
-def complement_prefix(a: IntegerSet, count: int, scan_bound: int) -> tuple[int, ...]:
-    """First `count` integers <= scan_bound that are missing from a."""
+def complement_prefix(a: IntegerSet, count: int) -> tuple[int, ...]:
+    """The first `count` values missing from a; fewer only when a misses
+    fewer than `count` values in all."""
     if count < 1:
         raise ValueError("count must be positive")
-    if scan_bound < 0:
-        raise ValueError("scan bound must be non-negative")
-    bts = a.membership_bytes(scan_bound)
     found: list[int] = []
-    pos = bts.find(0)
-    while pos != -1 and len(found) < count:
-        found.append(pos)
-        pos = bts.find(0, pos + 1)
+    while len(found) < count:
+        c = a.next_value(found[-1] + 1 if found else 0, member=False)
+        if c is None:
+            break
+        found.append(c)
     return tuple(found)
 
 

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DEFAULT_MEMORY_BUDGET, RepKind, RepTable, batch_table, r2_at
+from .core import DEFAULT_MEMORY_BUDGET, RepKind, RepTable, batch_table
 from .errors import EmptySetError, InsufficientComplementError, SelfCheckError
 from .sets import (
     FiniteSet,
@@ -163,15 +163,11 @@ class _DecreasePlan(NamedTuple):
     inner: "_DecreasePlan | None" = None
 
 
-def _decrease_case(a: IntegerSet, scan_bound: int) -> _DecreasePlan:
+def _decrease_case(a: IntegerSet) -> _DecreasePlan:
     """The case split of `predict_r2_decrease`, without verification."""
-    if scan_bound < 1:
-        raise ValueError("scan bound must be positive")
-    cs = complement_prefix(a, 3, scan_bound)
+    cs = complement_prefix(a, 3)
     if not cs:
-        raise InsufficientComplementError(
-            f"no missing values of {a.spec()} at or below {scan_bound}"
-        )
+        raise InsufficientComplementError(f"{a.spec()} has no missing values")
     c1 = cs[0]
     if c1 % 2 == 1:
         return _DecreasePlan(a, c1 - 1, DecreaseCase.C1_ODD, (c1,))
@@ -180,39 +176,38 @@ def _decrease_case(a: IntegerSet, scan_bound: int) -> _DecreasePlan:
         shifted = shift_down(a, m)
         if not shifted.contains(0):
             raise SelfCheckError("a shifted set is still missing 0")
-        inner = _decrease_case(shifted, scan_bound)
+        inner = _decrease_case(shifted)
         return _DecreasePlan(a, 2 * m + inner.n, DecreaseCase.SHIFTED, inner.c_values, m, inner)
     if len(cs) < 2:
-        raise InsufficientComplementError(
-            f"{a.spec()}: need a second missing value at or below {scan_bound}"
-        )
+        raise InsufficientComplementError(f"{a.spec()} has no second missing value")
     c2 = cs[1]
     if c2 % 2 == 1:
         return _DecreasePlan(a, c2 - 1, DecreaseCase.C2_ODD, (c1, c2))
     if len(cs) < 3:
-        raise InsufficientComplementError(
-            f"{a.spec()}: need a third missing value at or below {scan_bound}"
-        )
+        raise InsufficientComplementError(f"{a.spec()} has no third missing value")
     c3 = cs[2]
     if c3 == c2 + 1:
         return _DecreasePlan(a, c2, DecreaseCase.C3_ADJACENT, (c1, c2, c3))
     return _DecreasePlan(a, c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3))
 
 
-def _verified_witness(plan: _DecreasePlan) -> DecreaseWitness:
-    inner = _verified_witness(plan.inner) if plan.inner else None
+def _verified_witness(plan: _DecreasePlan, memory_budget: int) -> DecreaseWitness:
+    # the outer table is the larger one, so it meets the budget check first
     a, n = plan.a, plan.n
-    before = r2_at(a, n)
-    after = r2_at(a, n + 1)
+    r2 = batch_table(a, n + 1, memory_budget=memory_budget).r2
+    before, after = int(r2[n]), int(r2[n + 1])
     if not before > after:
         raise SelfCheckError(
             f"predicted decrease at n={n} for {a.spec()} does not hold: "
             f"r2 goes {before} -> {after} (case {plan.case.value})"
         )
+    inner = _verified_witness(plan.inner, memory_budget) if plan.inner else None
     return DecreaseWitness(a.spec(), n, plan.case, plan.c_values, before, after, plan.shift, inner)
 
 
-def predict_r2_decrease(a: IntegerSet, scan_bound: int) -> DecreaseWitness:
+def predict_r2_decrease(
+    a: IntegerSet, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
+) -> DecreaseWitness:
     """Locate an r2 decrease from the first missing values of a.
 
     The case split on the missing values c1 < c2 < c3 pins the decrease:
@@ -221,30 +216,30 @@ def predict_r2_decrease(a: IntegerSet, scan_bound: int) -> DecreaseWitness:
     A set missing 0 is shifted down by its minimum m and the witness of
     the shifted set is translated back by 2m.
 
-    Raises InsufficientComplementError when the scan bound does not expose
-    enough missing values to resolve a case; that outcome makes no claim
-    about whether a decrease exists.
+    Raises InsufficientComplementError when a misses fewer values than the
+    case split needs, and BudgetExceededError before the verifying table up
+    to n + 1 would exceed memory_budget.
     """
-    return _verified_witness(_decrease_case(a, scan_bound))
+    return _verified_witness(_decrease_case(a), memory_budget)
 
 
-def decrease_case_resolvable(a: IntegerSet, scan_bound: int) -> bool:
-    """Whether the missing values visible below scan_bound suffice for
-    `predict_r2_decrease`.  Runs its case split without verifying."""
+def decrease_case_resolvable(a: IntegerSet) -> bool:
+    """Whether a misses enough values for `predict_r2_decrease`.  Runs its
+    case split without verifying."""
     try:
-        _decrease_case(a, scan_bound)
+        _decrease_case(a)
     except (InsufficientComplementError, EmptySetError):
         return False
     return True
 
 
 def first_r2_decrease_bruteforce(
-    a: IntegerSet, scan_bound: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
+    a: IntegerSet, max_n: int, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> int | None:
-    """Least n < scan_bound with r2(n) > r2(n+1), by full table scan."""
-    if scan_bound < 1:
-        raise ValueError("scan bound must be positive")
-    v = batch_table(a, scan_bound, memory_budget=memory_budget).r2
+    """Least n < max_n with r2(n) > r2(n+1), by full table scan."""
+    if max_n < 1:
+        raise ValueError("max_n must be positive")
+    v = batch_table(a, max_n, memory_budget=memory_budget).r2
     worse = np.nonzero(v[:-1] > v[1:])[0]
     return int(worse[0]) if len(worse) else None
 

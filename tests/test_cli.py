@@ -160,6 +160,24 @@ class TestWitness:
         assert obj["case_trace"] == "SHIFTED" and obj["shift"] == 1
         assert obj["inner"]["case_trace"] == "C2_ODD"
 
+    def test_witness_past_max(self, capsys):
+        # --max bounds only the brute-force comparison, not the predictor
+        code, out, _ = run_cli(capsys, "witness", "--set", "complement(finite:2,601)")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["n"] == 600 and obj["case_trace"] == "C2_ODD"
+        assert obj["scan_bound"] == 512 and obj["brute_force_first"] is None
+
+    def test_verification_honours_budget(self, capsys):
+        code, out, err = run_cli(capsys, "witness", "--set", "complement(finite:2,1000000001)")
+        assert code == 3 and out == ""
+        assert "resource error" in err
+        # the brute-force table to 16 fits in 10000 bytes, the one to 601 does not
+        argv = ("witness", "--set", "complement(finite:2,601)", "--max", "16")
+        assert run_cli(capsys, *argv, "--budget", "50000")[0] == 0
+        code, out, err = run_cli(capsys, *argv, "--budget", "10000")
+        assert code == 3 and out == "" and "10000" in err
+
 
 class TestRender:
     def test_svg_output(self, capsys):

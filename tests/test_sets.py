@@ -183,25 +183,25 @@ class TestComplement:
 class TestComplementPrefix:
     def test_cofinite_exhausts(self):
         # asking for more missing values than exist returns all of them
-        p = complement_prefix(parse_set_spec("complement(finite:2,5)"), 3, 100)
+        p = complement_prefix(parse_set_spec("complement(finite:2,5)"), 3)
         assert p == (2, 5)
 
     def test_full_set_empty_prefix(self):
-        assert complement_prefix(parse_set_spec("nat"), 4, 50) == ()
+        assert complement_prefix(parse_set_spec("nat"), 4) == ()
 
     def test_pow2_complement(self):
-        # 16, 32 and 64 are missing below the bound too, but only 3 were asked for
-        assert complement_prefix(parse_set_spec("complement(pow2)"), 3, 100) == (2, 4, 8)
+        # 16, 32, 64, ... are missing too, but only 3 were asked for
+        assert complement_prefix(parse_set_spec("complement(pow2)"), 3) == (2, 4, 8)
 
     def test_matches_direct_scan(self):
         for spec in ("pow2", "periodic:10;0110", "complement(finite:0,7)"):
             a = parse_set_spec(spec)
             missing = [n for n in range(61) if not a.contains(n)]
-            assert list(complement_prefix(a, 5, 60)) == missing[:5]
+            assert list(complement_prefix(a, 5)) == missing[:5]
 
     def test_count_validation(self):
         with pytest.raises(ValueError):
-            complement_prefix(PowersOfTwo(), 0, 10)
+            complement_prefix(PowersOfTwo(), 0)
 
 
 class TestShift:
@@ -217,7 +217,7 @@ class TestShift:
         a = parse_set_spec("complement(finite:0,3,8)")
         assert min_element(a) == 1
         shifted = shift_down(a, 1)
-        assert complement_prefix(shifted, 2, 100) == (2, 7)
+        assert complement_prefix(shifted, 2) == (2, 7)
 
     def test_membership_translation(self):
         a = parse_set_spec("periodic:0011;101")
@@ -264,3 +264,16 @@ class TestMinElement:
     def test_periodic_late_first_member(self):
         a = PeriodicSet("0000000", "0001")
         assert min_element(a) == 10
+
+    def test_large_values_read_from_descriptor(self, monkeypatch):
+        # a scan up to the first member would call contains about 10**18 times
+        def no_scan(self, n):
+            raise AssertionError("membership scan")
+
+        monkeypatch.setattr(FiniteSet, "contains", no_scan)
+        assert min_element(FiniteSet((10**18,))) == 10**18
+        a = parse_set_spec("shift(1,finite:1000000000)")
+        assert a == Shifted(FiniteSet((10**9,)), 1)
+        assert min_element(a) == 10**9 - 1
+        misses = complement_prefix(parse_set_spec("complement(finite:2,1000000001)"), 3)
+        assert misses == (2, 10**9 + 1)

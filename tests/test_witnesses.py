@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repfn.core import RepKind, batch_table, r1_array_via_complement, r1_at, r2_at, sparse_r1
-from repfn.errors import EmptySetError, InsufficientComplementError
+from repfn.errors import BudgetExceededError, EmptySetError, InsufficientComplementError
 from repfn.monotonicity import find_violations
 from repfn.pool import decrease_pool, mixed_pool
 from repfn.sets import FiniteSet, PowersOfTwo, parse_set_spec
@@ -92,23 +94,23 @@ class TestBlockValues:
 
 class TestPredictDecrease:
     def test_case_c1_odd(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:1)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:1)"))
         assert (w.n, w.case, w.before, w.after) == (0, DecreaseCase.C1_ODD, 1, 0)
 
     def test_case_c2_odd(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:2,5)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:2,5)"))
         assert (w.n, w.case, w.before, w.after) == (4, DecreaseCase.C2_ODD, 2, 1)
 
     def test_case_c3_adjacent(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:2,4,5)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:2,4,5)"))
         assert (w.n, w.case, w.before, w.after) == (4, DecreaseCase.C3_ADJACENT, 1, 0)
 
     def test_case_c3_gap(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:2,4,8)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:2,4,8)"))
         assert (w.n, w.case, w.before, w.after) == (6, DecreaseCase.C3_GAP, 3, 2)
 
     def test_case_shifted(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:0,3,8)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:0,3,8)"))
         assert (w.n, w.case, w.before, w.after) == (8, DecreaseCase.SHIFTED, 3, 2)
         assert w.shift == 1
         assert w.c_values == (2, 7)
@@ -118,7 +120,7 @@ class TestPredictDecrease:
 
     def test_witness_location_matches_case(self):
         for a in decrease_pool(60, seed=77):
-            w = predict_r2_decrease(a, 512)
+            w = predict_r2_decrease(a)
             c = w.c_values
             if w.case is DecreaseCase.C1_ODD:
                 assert w.n == c[0] - 1
@@ -133,27 +135,43 @@ class TestPredictDecrease:
 
     def test_full_set_insufficient(self):
         with pytest.raises(InsufficientComplementError):
-            predict_r2_decrease(parse_set_spec("nat"), 200)
+            predict_r2_decrease(parse_set_spec("nat"))
 
     def test_two_even_misses_insufficient(self):
         with pytest.raises(InsufficientComplementError):
-            predict_r2_decrease(parse_set_spec("complement(finite:2,4)"), 200)
+            predict_r2_decrease(parse_set_spec("complement(finite:2,4)"))
 
     def test_shifted_full_set_insufficient(self):
         # {3, 4, 5, ...} shifts down to the full set
         with pytest.raises(InsufficientComplementError):
-            predict_r2_decrease(parse_set_spec("complement(finite:0,1,2)"), 200)
+            predict_r2_decrease(parse_set_spec("complement(finite:0,1,2)"))
 
     def test_scan_bound_hides_second_miss(self):
+        # the second missing value lies far past the first; the descriptor
+        # supplies it without a caller-chosen scan range
         a = parse_set_spec("complement(finite:2,601)")
-        with pytest.raises(InsufficientComplementError):
-            predict_r2_decrease(a, 100)
-        w = predict_r2_decrease(a, 1000)
+        w = predict_r2_decrease(a)
         assert w.n == 600 and w.case is DecreaseCase.C2_ODD
+        assert (w.before, w.after) == (r2_at(a, 600), r2_at(a, 601))
+
+    def test_budget_checked_before_verifying(self):
+        # c2 = 10**9 + 1 puts the witness at 10**9, past any table the default
+        # budget allows; the case split itself reads no membership bytes
+        a = parse_set_spec("complement(finite:2,1000000001)")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError):
+                predict_r2_decrease(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        with pytest.raises(BudgetExceededError):
+            predict_r2_decrease(parse_set_spec("complement(finite:2,601)"), memory_budget=10000)
 
     def test_empty_set(self):
         with pytest.raises(EmptySetError):
-            predict_r2_decrease(parse_set_spec("empty"), 100)
+            predict_r2_decrease(parse_set_spec("empty"))
 
     def test_resolvable_mirrors_predictor(self):
         for spec, expected in [
@@ -164,11 +182,11 @@ class TestPredictDecrease:
             ("complement(finite:0,3,8)", True),
             ("pow2", True),
         ]:
-            assert decrease_case_resolvable(parse_set_spec(spec), 200) == expected
+            assert decrease_case_resolvable(parse_set_spec(spec)) == expected
 
     def test_verified_decrease_and_oracle_order(self):
         for a in decrease_pool(80, seed=13):
-            w = predict_r2_decrease(a, 512)
+            w = predict_r2_decrease(a)
             assert r2_at(a, w.n) == w.before
             assert r2_at(a, w.n + 1) == w.after
             assert w.before > w.after
@@ -176,7 +194,7 @@ class TestPredictDecrease:
             assert first is not None and first <= w.n
 
     def test_json_shape(self):
-        w = predict_r2_decrease(parse_set_spec("complement(finite:0,3,8)"), 100)
+        w = predict_r2_decrease(parse_set_spec("complement(finite:0,3,8)"))
         obj = w.to_json_obj()
         assert set(obj) == {"set", "n", "case_trace", "c_values", "before", "after", "shift", "inner"}
         assert obj["inner"]["case_trace"] == "C2_ODD"
