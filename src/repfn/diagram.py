@@ -8,9 +8,8 @@ The x axis points right and the y axis points up, origin at bottom left.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from xml.etree import ElementTree
-
-import numpy as np
 
 from .core import DEFAULT_MEMORY_BUDGET
 from .errors import BudgetExceededError
@@ -22,16 +21,15 @@ _CELL = 12  # svg lattice spacing in pixels
 _MARGIN = 10
 _RADIUS = 3
 # Budget terms above the tracemalloc peaks of render_diagram (max_sum up to
-# 300).  Counting the points holds the membership bytes, two int64 vectors
-# and about 6 KB of scratch.  Rendering holds the membership bytes and under
-# 1 KB of scratch, then per ascii cell a grid slot, two text characters and
-# a share of the row headers (10.2 bytes), and per point an (n, x) tuple in
-# a list (at most 83 bytes), or that tuple with its svg circle text and its
-# share of the joined document (at most 193).
-_COUNT_BYTES = 8192
-_RENDER_BYTES = 2048
-_CELL_BYTES = {"ascii": 12, "svg": 0}
-_POINT_BYTES = {"ascii": 96, "svg": 256}
+# 512).  ASCII holds its rows and their joined text: two bytes per cell and
+# 57 per row, whatever the set.  SVG holds the membership bytes, the members
+# (bounded by max_sum before they are listed), and per point an (n, x) tuple,
+# its circle text and its share of the joined document (at most 193 bytes).
+_ASCII_BYTES = 2048
+_ASCII_CELL_BYTES = 3
+_SVG_BYTES = 1024
+_MEMBER_BYTES = 48
+_POINT_BYTES = 256
 
 
 def diagram_points(a: IntegerSet, max_sum: int) -> list[tuple[int, int]]:
@@ -39,11 +37,10 @@ def diagram_points(a: IntegerSet, max_sum: int) -> list[tuple[int, int]]:
     if max_sum < 0:
         raise ValueError("max_sum must be non-negative")
     mem = a.membership_bytes(max_sum)
+    members = a.members(max_sum)
     points = []
     for n in range(max_sum + 1):
-        for x in range(n + 1):
-            if mem[x] and mem[n - x]:
-                points.append((n, x))
+        points += [(n, x) for x in members[: bisect_right(members, n)] if mem[n - x]]
     return points
 
 
@@ -65,35 +62,39 @@ def render_diagram(
             f"diagram of {a.spec()} up to {max_sum} needs about {estimate} bytes",
             budget=budget,
         )
-    points = diagram_points(a, max_sum)
     if fmt == "ascii":
-        return _render_ascii(points, max_sum)
-    return _render_svg(points, max_sum)
+        return _render_ascii(a, max_sum)
+    return _render_svg(diagram_points(a, max_sum), max_sum)
 
 
 def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int, budget: int) -> int:
-    # the two phases do not hold memory at the same time, so the estimate is
-    # the larger of them; the points are counted only if the rest fits
-    counting = _COUNT_BYTES + 17 * (max_sum + 1)
-    rendering = _RENDER_BYTES + (max_sum + 1) + _CELL_BYTES[fmt] * (max_sum + 1) ** 2
-    if max(counting, rendering) <= budget:
-        rendering += _POINT_BYTES[fmt] * _point_count(a, max_sum)
-    return max(counting, rendering)
+    if fmt == "ascii":
+        return _ASCII_BYTES + _ASCII_CELL_BYTES * (max_sum + 1) ** 2
+    bound = _SVG_BYTES + (_MEMBER_BYTES + 1) * (max_sum + 1)
+    if bound > budget:
+        return bound
+    members = a.members(max_sum)
+    points = _point_count(members, max_sum)
+    return _SVG_BYTES + (max_sum + 1) + _MEMBER_BYTES * len(members) + _POINT_BYTES * points
 
 
-def _point_count(a: IntegerSet, max_sum: int) -> int:
-    """len(diagram_points(a, max_sum)) in O(max_sum): each member x pairs
-    with every member y <= max_sum - x."""
-    mem = np.frombuffer(a.membership_bytes(max_sum), dtype=np.uint8)
-    return int(np.dot(mem, np.cumsum(mem, dtype=np.int64)[::-1]))
+def _point_count(members: list[int], max_sum: int) -> int:
+    """len(diagram_points): each member x pairs with every member y <= max_sum - x."""
+    return sum(bisect_right(members, max_sum - x) for x in members)
 
 
-def _render_ascii(points: list[tuple[int, int]], max_sum: int) -> str:
-    # row 0 of the text is the top of the picture, so y runs downward here
-    grid = [["."] * (max_sum + 1) for _ in range(max_sum + 1)]
-    for x, y in points:
-        grid[max_sum - y][x] = "*"
-    return "\n".join("".join(row) for row in grid) + "\n"
+def _render_ascii(a: IntegerSet, max_sum: int) -> str:
+    # the row of a member y holds a point at each n = y + b for a member b,
+    # so it is y dots and then the memberships of 0..max_sum - y; row 0 of
+    # the text is the top of the picture, so y runs downward here
+    mem = a.membership_bytes(max_sum)
+    line = mem.translate(bytes.maketrans(b"\0\1", b".*")).decode("ascii")
+    rows = [
+        "." * y + line[: max_sum + 1 - y] if mem[y] else "." * (max_sum + 1)
+        for y in range(max_sum, -1, -1)
+    ]
+    rows.append("")  # the text ends with a newline, joined without a copy
+    return "\n".join(rows)
 
 
 def _render_svg(points: list[tuple[int, int]], max_sum: int) -> str:

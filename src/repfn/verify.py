@@ -452,6 +452,4 @@ def run_suites(
 ) -> list[SuiteResult]:
     if names == "all":
         names = SUITE_NAMES
-    elif isinstance(names, str):
-        names = (names,)
     return [run_suite(n, seed=seed, corrupt=corrupt) for n in names]

@@ -191,20 +191,6 @@ def _decrease_case(a: IntegerSet) -> _DecreasePlan:
     return _DecreasePlan(a, c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3))
 
 
-def _verified_witness(plan: _DecreasePlan, memory_budget: int) -> DecreaseWitness:
-    # the outer table is the larger one, so it meets the budget check first
-    a, n = plan.a, plan.n
-    r2 = batch_table(a, n + 1, memory_budget=memory_budget).r2
-    before, after = int(r2[n]), int(r2[n + 1])
-    if not before > after:
-        raise SelfCheckError(
-            f"predicted decrease at n={n} for {a.spec()} does not hold: "
-            f"r2 goes {before} -> {after} (case {plan.case.value})"
-        )
-    inner = _verified_witness(plan.inner, memory_budget) if plan.inner else None
-    return DecreaseWitness(a.spec(), n, plan.case, plan.c_values, before, after, plan.shift, inner)
-
-
 def predict_r2_decrease(
     a: IntegerSet, *, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> DecreaseWitness:
@@ -214,13 +200,27 @@ def predict_r2_decrease(
     c1 odd puts it at c1 - 1; c1 even > 0 with c2 odd puts it at c2 - 1;
     c1, c2 even put it at c2 when c3 = c2 + 1 and at c1 + c2 otherwise.
     A set missing 0 is shifted down by its minimum m and the witness of
-    the shifted set is translated back by 2m.
+    the shifted set is translated back by 2m.  Both are verified on one
+    table of a: r2(A, n) = r2(A - m, n - 2m).
 
     Raises InsufficientComplementError when a misses fewer values than the
     case split needs, and BudgetExceededError before the verifying table up
     to n + 1 would exceed memory_budget.
     """
-    return _verified_witness(_decrease_case(a), memory_budget)
+    plan = _decrease_case(a)
+    r2 = batch_table(a, plan.n + 1, memory_budget=memory_budget).r2
+    before, after = int(r2[plan.n]), int(r2[plan.n + 1])
+    if not before > after:
+        raise SelfCheckError(
+            f"predicted decrease at n={plan.n} for {a.spec()} does not hold: "
+            f"r2 goes {before} -> {after} (case {plan.case.value})"
+        )
+
+    def witness(p: _DecreasePlan, inner: DecreaseWitness | None = None) -> DecreaseWitness:
+        return DecreaseWitness(p.a.spec(), p.n, p.case, p.c_values, before, after, p.shift, inner)
+
+    # a shifted set contains 0, so its own plan is never SHIFTED
+    return witness(plan, witness(plan.inner) if plan.inner else None)
 
 
 def decrease_case_resolvable(a: IntegerSet) -> bool:

@@ -193,6 +193,12 @@ class TestRender:
         counts = [sum(row[x] == "*" for row in rows) for x in range(5)]
         assert counts == [1, 0, 2, 2, 3]
 
+    def test_ascii_budget_counts_cells(self, capsys):
+        # 513 x 513 cells at 3 bytes each fit in 1.5 MB
+        argv = ("render", "--set", "empty", "--max", "512", "--format", "ascii")
+        code, out, _ = run_cli(capsys, *argv, "--budget", "1500000")
+        assert code == 0
+        assert out == ("." * 513 + "\n") * 513
 
     def test_budget_checked_before_building_points(self, capsys):
         started = time.perf_counter()

@@ -32,6 +32,32 @@ def elementtree_svg(points, max_sum):
     return ElementTree.tostring(root, encoding="unicode") + "\n"
 
 
+def all_pairs_points(a, max_sum):
+    # the former diagram_points, visiting every (n, x) pair
+    mem = a.membership_bytes(max_sum)
+    points = []
+    for n in range(max_sum + 1):
+        for x in range(n + 1):
+            if mem[x] and mem[n - x]:
+                points.append((n, x))
+    return points
+
+
+def grid_ascii(points, max_sum):
+    # the former ASCII writer, filling an (N + 1)^2 grid from the points
+    grid = [["."] * (max_sum + 1) for _ in range(max_sum + 1)]
+    for x, y in points:
+        grid[max_sum - y][x] = "*"
+    return "\n".join("".join(row) for row in grid) + "\n"
+
+
+# sets and sizes on which the renderers must match the former ones byte for byte
+REFERENCE_SETS = mixed_pool(10, seed=5) + [
+    parse_set_spec(spec) for spec in ("empty", "nat", "pow2", "complement(pow2)")
+]
+REFERENCE_SUMS = (0, 1, 7, 41, 150)
+
+
 def ascii_column_counts(text, max_sum):
     rows = text.strip("\n").split("\n")
     return [sum(row[x] == "*" for row in rows) for x in range(max_sum + 1)]
@@ -49,7 +75,13 @@ class TestPoints:
     def test_point_count_matches_points(self):
         for a in mixed_pool(30, seed=5):
             for max_sum in (0, 1, 17, 60):
-                assert _point_count(a, max_sum) == len(diagram_points(a, max_sum))
+                members = a.members(max_sum)
+                assert _point_count(members, max_sum) == len(diagram_points(a, max_sum))
+
+    def test_matches_all_pairs(self):
+        for a in REFERENCE_SETS:
+            for max_sum in REFERENCE_SUMS:
+                assert diagram_points(a, max_sum) == all_pairs_points(a, max_sum), (a.spec(), max_sum)
 
     def test_column_counts_match_r1(self):
         a = parse_set_spec("complement(finite:1)")
@@ -74,6 +106,12 @@ class TestAscii:
         rows = text.strip("\n").split("\n")
         assert "*" not in rows[-2]
 
+    def test_matches_grid_writer(self):
+        for a in REFERENCE_SETS:
+            for max_sum in REFERENCE_SUMS:
+                expected = grid_ascii(all_pairs_points(a, max_sum), max_sum)
+                assert render_diagram(a, max_sum, "ascii") == expected, (a.spec(), max_sum)
+
     def test_origin_bottom_left(self):
         text = render_diagram(parse_set_spec("finite:0"), 2, "ascii")
         rows = text.strip("\n").split("\n")
@@ -94,10 +132,9 @@ class TestSvg:
         assert svg_column_counts(svg, 5) == [0] * 6
 
     def test_matches_elementtree_writer(self):
-        sets = mixed_pool(10, seed=5) + [parse_set_spec("empty"), parse_set_spec("nat")]
-        for a in sets:
-            for max_sum in (0, 1, 7, 41):
-                expected = elementtree_svg(diagram_points(a, max_sum), max_sum)
+        for a in REFERENCE_SETS:
+            for max_sum in REFERENCE_SUMS:
+                expected = elementtree_svg(all_pairs_points(a, max_sum), max_sum)
                 assert render_diagram(a, max_sum, "svg") == expected, (a.spec(), max_sum)
 
 
@@ -108,7 +145,7 @@ class TestBudget:
 
     @pytest.mark.parametrize("fmt", ["ascii", "svg"])
     @pytest.mark.parametrize("spec", ["nat", "pow2", "complement(pow2)", "periodic:1;10", "empty"])
-    @pytest.mark.parametrize("max_sum", [0, 7, 41, 150, 300])
+    @pytest.mark.parametrize("max_sum", [0, 7, 41, 150, 300, 512])
     def test_estimate_covers_traced_peak(self, fmt, spec, max_sum):
         a = parse_set_spec(spec)
         tracemalloc.start()

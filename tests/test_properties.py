@@ -13,6 +13,7 @@ from repfn.core import (
     r3_at,
     sparse_r1,
 )
+from repfn.diagram import render_diagram
 from repfn.errors import EmptySetError, InsufficientComplementError
 from repfn.sets import (
     FiniteSet,
@@ -151,6 +152,14 @@ def test_batch_matches_pointwise_small(a, strategy):
         assert int(t.r1[n]) == r1_at(a, n)
         assert int(t.r2[n]) == r2_at(a, n)
         assert int(t.r3[n]) == r3_at(a, n)
+
+
+@COMMON
+@given(integer_sets(), st.integers(0, 60))
+def test_ascii_columns_count_r1(a, max_sum):
+    rows = render_diagram(a, max_sum, "ascii").splitlines()
+    counts = [sum(row[n] == "*" for row in rows) for n in range(max_sum + 1)]
+    assert counts == batch_table(a, max_sum, "naive").r1.tolist()
 
 
 @COMMON

@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repfn import witnesses
 from repfn.core import RepKind, batch_table, r1_array_via_complement, r1_at, r2_at, sparse_r1
 from repfn.errors import BudgetExceededError, EmptySetError, InsufficientComplementError
 from repfn.monotonicity import find_violations
 from repfn.pool import decrease_pool, mixed_pool
-from repfn.sets import FiniteSet, PowersOfTwo, parse_set_spec
+from repfn.sets import FiniteSet, PowersOfTwo, parse_set_spec, shift_down
 from repfn.witnesses import (
     DecreaseCase,
     almost_monotone_set,
@@ -192,6 +193,30 @@ class TestPredictDecrease:
             assert w.before > w.after
             first = first_r2_decrease_bruteforce(a, w.n + 1)
             assert first is not None and first <= w.n
+
+    def test_one_table_per_witness(self, monkeypatch):
+        calls = []
+
+        def counting_batch_table(*args, **kwargs):
+            calls.append(args)
+            return batch_table(*args, **kwargs)
+
+        monkeypatch.setattr(witnesses, "batch_table", counting_batch_table)
+        w = predict_r2_decrease(PowersOfTwo())
+        assert w.case is DecreaseCase.SHIFTED
+        assert len(calls) == 1
+
+    def test_shifted_inner_values_are_shifted_r2(self):
+        found = [predict_r2_decrease(a) for a in decrease_pool(500)]
+        shifted = [w for w in found if w.case is DecreaseCase.SHIFTED]
+        assert shifted
+        for w in shifted:
+            inner_set = shift_down(parse_set_spec(w.set_spec), w.shift)
+            assert w.inner.set_spec == inner_set.spec()
+            assert (w.inner.before, w.inner.after) == (
+                r2_at(inner_set, w.inner.n),
+                r2_at(inner_set, w.inner.n + 1),
+            )
 
     def test_json_shape(self):
         w = predict_r2_decrease(parse_set_spec("complement(finite:0,3,8)"))
