@@ -12,11 +12,12 @@ sparse sets, and an inclusion-exclusion path that reaches large N when the
 complement of A is sparse.
 
 Batch tables get r1 from one of two kernels with identical results.
-`naive` (direct convolution) is the oracle.  A length-2^k real FFT certifies
-every result by an a-priori rounding bound, the observed rounding residual
-and the sum of the counts.  The default strategy, `auto`, runs the FFT above
-N = 4096 and the oracle below; the strategy `naive` forces the oracle at
-any N.
+`naive` is the oracle: a direct pair sum, done by `np.convolve` up to
+N = 4096 and by block matrix products above; neither uses a transform.  A
+length-2^k real FFT certifies every result by an a-priori rounding bound,
+the observed rounding residual and the sum of the counts.  The default
+strategy, `auto`, runs the FFT above N = 4096 and the oracle below; the
+strategy `naive` forces the oracle at any N.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, SelfCheckError
 from .sets import IntegerSet, complement
@@ -53,6 +55,7 @@ __all__ = [
 DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of working memory batch_table may use
 STRATEGIES = ("naive", "auto")
 FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
+_BLOCK = 128  # block size of the naive kernel's matrix products above FFT_CUTOVER
 _FIXED_BYTES = 2048  # array headers and numpy scratch, about 1.8 KB traced at N <= 16
 _CSV_BLOCK = 4096  # rows formatted per string operation in RepTable.to_csv
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -151,12 +154,17 @@ def _diagonal(mem: np.ndarray) -> np.ndarray:
 
 
 def _r1_naive(mem: np.ndarray) -> np.ndarray:
-    # Direct convolution of the 0/1 membership sequence with itself.  Floats
-    # carry it exactly: every intermediate is an integer bounded by len(mem),
-    # far below 2**24 (float32) or 2**53 (float64).  Only n < len(mem) is
-    # kept, so the upper half is never squared: a pair with both terms in
-    # it sums past the end, and a mixed pair is counted twice.
+    # Direct pair sum of the 0/1 membership sequence with itself.  Floats
+    # carry it exactly: every product is 0 or 1 and every partial sum, in
+    # whatever order np.convolve or BLAS adds them, is a non-negative
+    # integer bounded by len(mem), below 2**24 (float32) or 2**53 (float64).
+    # Up to N = FFT_CUTOVER np.convolve does it, where it beats the block
+    # products.  Only n < len(mem) is kept, so the upper half is never
+    # squared: a pair with both terms in it sums past the end, and a mixed
+    # pair is counted twice.
     dtype = np.float32 if len(mem) < (1 << 24) - 1 else np.float64
+    if len(mem) - 1 > FFT_CUTOVER:
+        return _r1_blocks(mem, dtype)
     x = mem.astype(dtype)
     h = (len(x) + 1) // 2
     r1 = np.zeros(len(x), dtype=dtype)
@@ -164,6 +172,24 @@ def _r1_naive(mem: np.ndarray) -> np.ndarray:
     if h < len(x):
         r1[h:] += 2 * np.convolve(x[:h], x[h:])[: len(x) - h]
     return r1.astype(np.int64)
+
+
+def _r1_blocks(mem: np.ndarray, dtype: type) -> np.ndarray:
+    # The same pair sum as block-Toeplitz matrix products.  Cut x into m
+    # blocks of b; ar[k] is block k reversed and win[s] = x[s - b + 1 : s + 1].
+    # Then ar[k] . win[d b + t] sums x[i] x[n - i] over i in block k, for
+    # n = (k + d) b + t, so one product per block distance d adds every
+    # block pair at that distance to the output blocks k + d.
+    n, b = len(mem), _BLOCK
+    m = -(-n // b)
+    xp = np.zeros(b - 1 + m * b, dtype=dtype)
+    xp[b - 1 : b - 1 + n] = mem
+    win = sliding_window_view(xp, b)
+    ar = np.ascontiguousarray(xp[b - 1 :].reshape(m, b)[:, ::-1])
+    out = np.zeros((m, b), dtype=dtype)
+    for d in range(m):
+        out[d:] += ar[: m - d] @ win[d * b : d * b + b].T
+    return out.ravel()[:n].astype(np.int64)
 
 
 def _fft_error_bound(k: int, norm2: int) -> float:
@@ -242,10 +268,12 @@ def batch_table(
     default) uses the naive kernel up to N = 4096 and the FFT kernel above;
     the FFT is certified by its rounding bound, rounding residual and count
     sum, and raises SelfCheckError rather than return a count it cannot
-    certify.  "naive" (direct convolution) is the oracle at any N.  The
-    memory estimate checked against `memory_budget` follows the kernel that
-    runs.  r2 and r3 are derived from r1 and the diagonal indicator, which
-    keeps a single source of truth for the counts.
+    certify.  "naive" is the oracle at any N: a direct pair sum, done by
+    np.convolve up to N = 4096 and by block matrix products above, with no
+    transform in either.  The memory estimate checked against
+    `memory_budget` follows the kernel that runs.  r2 and r3 are derived
+    from r1 and the diagonal indicator, which keeps a single source of
+    truth for the counts.
     """
     _check_n(max_n)
     if strategy not in STRATEGIES:

@@ -94,5 +94,4 @@ def natural_density_estimate(a: IntegerSet, max_n: int) -> DensityEstimate:
     """Count members in [1, max_n]; membership of 0 is never counted."""
     if max_n < 1:
         raise ValueError("window bound must be positive")
-    count = a.membership_bytes(max_n).count(1, 1)
-    return DensityEstimate(max_n, count)
+    return DensityEstimate(max_n, a.count(max_n) - a.contains(0))

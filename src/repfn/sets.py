@@ -2,9 +2,10 @@
 
 Five descriptor kinds cover everything the rest of the package needs:
 explicit finite lists, eventually periodic bit patterns, the powers of two
-2, 4, 8, ..., complements, and downward shifts.  Membership of any n, and
-the next member or missing value from any k (`next_value`), are decided in
-time bounded by the descriptor size, so nothing here scans up to a value.
+2, 4, 8, ..., complements, and downward shifts.  Membership of any n, the
+next member or missing value from any k (`next_value`), and the member count
+of [0, n] (`count`) are decided in time bounded by the descriptor size, so
+nothing here scans up to a value.
 
 The textual mini-language (`parse_set_spec`) is:
 
@@ -64,6 +65,10 @@ class IntegerSet:
         """Memberships of 0..max_n as a bytes object of 0/1 values."""
         raise NotImplementedError
 
+    def count(self, max_n: int) -> int:
+        """Number of members in [0, max_n]."""
+        raise NotImplementedError
+
     def members(self, max_n: int) -> list[int]:
         """Members up to max_n in increasing order."""
         return list(compress(range(max_n + 1), self.membership_bytes(max_n)))
@@ -115,6 +120,9 @@ class FiniteSet(IntegerSet):
     def members(self, max_n: int) -> list[int]:
         return list(self.elements[: bisect_right(self.elements, max_n)])
 
+    def count(self, max_n: int) -> int:
+        return bisect_right(self.elements, max_n)
+
 
 @dataclass(frozen=True)
 class PeriodicSet(IntegerSet):
@@ -154,6 +162,13 @@ class PeriodicSet(IntegerSet):
         reps = (length - len(pre) + len(per) - 1) // len(per)
         return (pre + per * reps)[:length]
 
+    def count(self, max_n: int) -> int:
+        pre, per = self.preperiod, self.period
+        if max_n < len(pre):
+            return pre[: max_n + 1].count("1")
+        reps, rest = divmod(max_n + 1 - len(pre), len(per))
+        return pre.count("1") + reps * per.count("1") + per[:rest].count("1")
+
 
 @dataclass(frozen=True)
 class PowersOfTwo(IntegerSet):
@@ -182,6 +197,9 @@ class PowersOfTwo(IntegerSet):
     def members(self, max_n: int) -> list[int]:
         return [1 << k for k in range(1, max(max_n, 0).bit_length())]
 
+    def count(self, max_n: int) -> int:
+        return max(max_n.bit_length() - 1, 0)
+
 
 # translate() table flipping the 0/1 byte values a membership_bytes produces
 _FLIP = bytes([1, 0]) + bytes(range(2, 256))
@@ -204,6 +222,9 @@ class Complement(IntegerSet):
 
     def membership_bytes(self, max_n: int) -> bytes:
         return self.inner.membership_bytes(max_n).translate(_FLIP)
+
+    def count(self, max_n: int) -> int:
+        return max_n + 1 - self.inner.count(max_n)
 
 
 @dataclass(frozen=True)
@@ -237,6 +258,10 @@ class Shifted(IntegerSet):
 
     def members(self, max_n: int) -> list[int]:
         return [m - self.offset for m in self.inner.members(max_n + self.offset)]
+
+    def count(self, max_n: int) -> int:
+        # offset <= min(inner), so inner has no members below offset
+        return self.inner.count(max_n + self.offset)
 
 
 def contains(a: IntegerSet, n: int) -> bool:

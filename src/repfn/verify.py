@@ -20,6 +20,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import diagram, pool
 from .core import (
     RepKind,
+    _r1_naive,
     batch_table,
     closed_form,
     diagonal_indicator,
@@ -78,7 +79,7 @@ class SuiteResult:
         }
 
 
-def _half_range_counts(memf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _half_range_counts(mem: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """r2 and r3 by direct pair counting, one member row at a time.
 
     Member x adds its pairs (x, y) with x <= y, or x < y for r3, as one
@@ -86,8 +87,8 @@ def _half_range_counts(memf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     this route stays independent of both the closed forms and the table
     construction (which derives r2/r3 from r1).
     """
-    size = len(memf)
-    m = memf.astype(np.int64)
+    size = len(mem)
+    m = mem.astype(np.int64)
     r2 = np.zeros(size, dtype=np.int64)
     r3 = np.zeros(size, dtype=np.int64)
     for x in np.flatnonzero(m[: (size + 1) // 2]).tolist():
@@ -102,8 +103,11 @@ def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
     r1(n) is the overlap of the bits with their reversal shifted by
     s = len - 1 - n.  For each bit offset b < 64, row q of a sliding word
     window over the reversal shifted by b sits at s = 64q + b, so one (w, w)
-    AND-and-popcount block gives all those shifts.  No convolution or FFT is
-    involved, so the route stays independent of the r1 kernels it checks.
+    AND-and-popcount block gives all those shifts.  The block is done in
+    bands of 64 rows, and band q is cut at column w - q: every shifted word
+    from index w on is zero, so the cut skips the zero half of the block.
+    No convolution or FFT is involved, so the route stays independent of
+    the r1 kernels it checks.
     """
     size = len(mem)
     w = (size + 63) // 64
@@ -116,8 +120,11 @@ def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
         bits[: size - b] = rev[b:]
         bits[size - b : size] = 0
         shifted = np.packbits(bits, bitorder="little").view("<u8")
-        rows = sliding_window_view(shifted, w)[:w] & words
-        by_shift[:, b] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+        window = sliding_window_view(shifted, w)[:w]
+        for q in range(0, w, 64):
+            rows = window[q : q + 64, : w - q] & words[: w - q]
+            # int64 sums: a uint16 sum overflows once 64 w >= 65536
+            by_shift[q : q + 64, b] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
     return by_shift.ravel()[size - 1 :: -1]
 
 
@@ -132,9 +139,9 @@ def _mismatch_details(expected: np.ndarray, got: np.ndarray) -> dict:
 def suite_closed_forms(*, seed: int | None = None, corrupt: bool = False) -> list[Check]:
     max_n = 5000
     nat = complement(FiniteSet())
-    memf = membership_array(nat, max_n).astype(np.float64)
-    counted_r1 = np.convolve(memf, memf)[: max_n + 1].astype(np.int64)
-    counted_r2, counted_r3 = _half_range_counts(memf)
+    mem = membership_array(nat, max_n)
+    counted_r1 = _r1_naive(mem)
+    counted_r2, counted_r3 = _half_range_counts(mem)
     checks = []
     for kind, counted in (
         (RepKind.R1, counted_r1),
@@ -170,9 +177,9 @@ def suite_identities(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) ->
     decomposition_bad = []
     diagonal_bad = []
     for i, a in enumerate(sets):
-        memf = membership_array(a, max_n).astype(np.float64)
-        r1 = np.convolve(memf, memf)[: max_n + 1].astype(np.int64)
-        r2, r3 = _half_range_counts(memf)
+        mem = membership_array(a, max_n)
+        r1 = _r1_naive(mem)
+        r2, r3 = _half_range_counts(mem)
         if corrupt and i == 0:
             r2 = r2.copy()
             r2[3] += 1

@@ -143,6 +143,22 @@ class TestBatchTable:
         assert t.r1.tolist() == [1] and t.r2.tolist() == [1] and t.r3.tolist() == [0]
 
 
+class TestNaiveKernel:
+    # around the np.convolve / block-product dispatch at N = 4096 and around
+    # the edges of 128-entry blocks
+    LENGTHS = [4097, 4098, 4224, 4225, 4352, 8193, 32769]
+
+    @pytest.mark.parametrize("fill", [0.0, 0.05, 0.5, 1.0])
+    def test_block_route_equals_full_convolution(self, fill):
+        rng = np.random.default_rng(int(fill * 100) + 1)
+        for length in self.LENGTHS:
+            mem = (rng.random(length) < fill).astype(np.uint8)
+            want = np.convolve(mem.astype(np.float64), mem.astype(np.float64))[:length]
+            got = core._r1_naive(mem)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want.astype(np.int64)), length
+
+
 class TestFftKernel:
     LENGTHS = [*range(1, 80), 4095, 4096, 4097, 32767, 32768, 32769]
 
@@ -314,8 +330,9 @@ class TestSparseR1:
         assert peak < 64 * 1024
 
 
-# lengths around every 64-bit word boundary below 200 and at 2^12 and 2^15
-WORD_LENGTHS = list(range(1, 201)) + [4095, 4096, 4097, 32767, 32768, 32769]
+# lengths around every 64-bit word boundary below 200 and at 2^12 and 2^15;
+# 8193 bits make 129 words: two full bands of 64 rows plus one row
+WORD_LENGTHS = list(range(1, 201)) + [4095, 4096, 4097, 8193, 32767, 32768, 32769]
 
 
 def _dot_half_range_counts(memf):

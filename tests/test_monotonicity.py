@@ -87,6 +87,11 @@ class TestDensity:
             )
             assert total == n
 
+    def test_reads_the_descriptor(self):
+        # no membership bytes: a window of 2^64 costs no more than a short one
+        est = natural_density_estimate(parse_set_spec("complement(pow2)"), 2**64)
+        assert est.member_count == 2**64 - 64
+
     def test_zero_not_counted(self):
         est = natural_density_estimate(parse_set_spec("finite:0"), 5)
         assert est.member_count == 0

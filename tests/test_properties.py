@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -83,6 +85,12 @@ def test_complement_flips_membership(a, n):
 def test_membership_bytes_agree_with_contains(a):
     bts = a.membership_bytes(120)
     assert all(bool(bts[n]) == a.contains(n) for n in range(121))
+
+
+@COMMON
+@given(integer_sets())
+def test_count_matches_membership_bytes(a):
+    assert [a.count(n) for n in range(301)] == list(accumulate(a.membership_bytes(300)))
 
 
 @COMMON
