@@ -22,12 +22,13 @@ _MARGIN = 10
 _RADIUS = 3
 # Budget terms above the tracemalloc peaks of render_diagram (max_sum up to
 # 512).  ASCII holds its rows and their joined text: two bytes per cell and
-# 57 per row, whatever the set.  SVG holds the membership bytes, the members
-# (bounded by max_sum before they are listed), and per point an (n, x) tuple,
-# its circle text and its share of the joined document (at most 193 bytes).
+# 57 per row, whatever the set.  SVG holds the membership bytes twice (a
+# bytearray and its bytes copy), the members (counted from the descriptor
+# before they are listed), and per point an (n, x) tuple, its circle text
+# and its share of the joined document (at most 193 bytes).
 _ASCII_BYTES = 2048
 _ASCII_CELL_BYTES = 3
-_SVG_BYTES = 1024
+_SVG_BYTES = 900
 _MEMBER_BYTES = 48
 _POINT_BYTES = 256
 
@@ -70,12 +71,10 @@ def render_diagram(
 def _estimate_bytes(fmt: str, a: IntegerSet, max_sum: int, budget: int) -> int:
     if fmt == "ascii":
         return _ASCII_BYTES + _ASCII_CELL_BYTES * (max_sum + 1) ** 2
-    bound = _SVG_BYTES + (_MEMBER_BYTES + 1) * (max_sum + 1)
+    bound = _SVG_BYTES + 2 * (max_sum + 1) + _MEMBER_BYTES * a.count(max_sum)
     if bound > budget:
         return bound
-    members = a.members(max_sum)
-    points = _point_count(members, max_sum)
-    return _SVG_BYTES + (max_sum + 1) + _MEMBER_BYTES * len(members) + _POINT_BYTES * points
+    return bound + _POINT_BYTES * _point_count(a.members(max_sum), max_sum)
 
 
 def _point_count(members: list[int], max_sum: int) -> int:

@@ -62,11 +62,8 @@ def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> Vio
     """Scan a table for monotonicity failures of one function."""
     kind = RepKind(kind)
     v = table.values(kind)
-    if table.max_n == 0:
-        idx: tuple[int, ...] = ()
-    else:
-        bad = (v[1:] <= v[:-1]) if strict else (v[:-1] > v[1:])
-        idx = tuple(np.flatnonzero(bad).tolist())
+    bad = (v[1:] <= v[:-1]) if strict else (v[:-1] > v[1:])
+    idx = tuple(np.flatnonzero(bad).tolist())
     return ViolationReport(table.set_spec, kind, strict, table.max_n, idx)
 
 

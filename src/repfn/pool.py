@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 
-from .errors import EmptySetError
 from .sets import (
     FiniteSet,
     IntegerSet,
@@ -16,7 +15,6 @@ from .sets import (
     PowersOfTwo,
     complement,
     complement_prefix,
-    min_element,
     parse_set_spec,
     shift_down,
 )
@@ -66,12 +64,8 @@ def mixed_pool(count: int, seed: int = DEFAULT_SEED) -> list[IntegerSet]:
             out.append(random_cofinite(rng))
         else:
             s = random_periodic(rng)
-            try:
-                m = min_element(s)
-            except EmptySetError:
-                out.append(s)
-                continue
-            out.append(shift_down(s, rng.randint(0, m)))
+            m = s.next_value(0)
+            out.append(s if m is None else shift_down(s, rng.randint(0, m)))
     return out
 
 

@@ -208,19 +208,15 @@ def suite_strategies(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) ->
     max_n = 2**15
     sets = pool.mixed_pool(count, seed)
     bad = []
+    # a table derives r2 and r3 from r1 and the diagonal (`_derive_table`),
+    # so r1 alone decides whether two kernels' tables match
     for i, a in enumerate(sets):
-        t_naive = batch_table(a, max_n, "naive")
-        t_word = table_from_r1(a, _r1_word_parallel(membership_array(a, max_n)))
-        word_r1 = t_word.r1
+        mem = membership_array(a, max_n)
+        naive_r1 = _r1_naive(mem)
+        word_r1 = _r1_word_parallel(mem)
         if corrupt and i == 0:
-            word_r1 = word_r1.copy()
             word_r1[5] += 1
-        same = (
-            np.array_equal(t_naive.r1, word_r1)
-            and np.array_equal(t_naive.r2, t_word.r2)
-            and np.array_equal(t_naive.r3, t_word.r3)
-        )
-        if not same:
+        if not np.array_equal(naive_r1, word_r1):
             bad.append(a.spec())
     return [
         Check(

@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .core import DEFAULT_MEMORY_BUDGET, RepKind, RepTable, batch_table
 from .errors import EmptySetError, InsufficientComplementError, SelfCheckError
+from .monotonicity import find_violations
 from .sets import (
     FiniteSet,
     IntegerSet,
@@ -152,43 +150,34 @@ class DecreaseWitness:
         return obj
 
 
-class _DecreasePlan(NamedTuple):
-    """A predicted, not yet verified, r2 decrease of `a` at `n`."""
-
-    a: IntegerSet
-    n: int
-    case: DecreaseCase
-    c_values: tuple[int, ...]
-    shift: int = 0
-    inner: "_DecreasePlan | None" = None
-
-
-def _decrease_case(a: IntegerSet) -> _DecreasePlan:
-    """The case split of `predict_r2_decrease`, without verification."""
+def _decrease_case(a: IntegerSet) -> DecreaseWitness:
+    """The case split of `predict_r2_decrease`, before verification: the
+    r2 values `before` and `after` are left at 0."""
     cs = complement_prefix(a, 3)
     if not cs:
         raise InsufficientComplementError(f"{a.spec()} has no missing values")
     c1 = cs[0]
     if c1 % 2 == 1:
-        return _DecreasePlan(a, c1 - 1, DecreaseCase.C1_ODD, (c1,))
+        return DecreaseWitness(a.spec(), c1 - 1, DecreaseCase.C1_ODD, (c1,), 0, 0)
     if c1 == 0:
         m = min_element(a)
         shifted = shift_down(a, m)
         if not shifted.contains(0):
             raise SelfCheckError("a shifted set is still missing 0")
         inner = _decrease_case(shifted)
-        return _DecreasePlan(a, 2 * m + inner.n, DecreaseCase.SHIFTED, inner.c_values, m, inner)
+        n = 2 * m + inner.n
+        return DecreaseWitness(a.spec(), n, DecreaseCase.SHIFTED, inner.c_values, 0, 0, m, inner)
     if len(cs) < 2:
         raise InsufficientComplementError(f"{a.spec()} has no second missing value")
     c2 = cs[1]
     if c2 % 2 == 1:
-        return _DecreasePlan(a, c2 - 1, DecreaseCase.C2_ODD, (c1, c2))
+        return DecreaseWitness(a.spec(), c2 - 1, DecreaseCase.C2_ODD, (c1, c2), 0, 0)
     if len(cs) < 3:
         raise InsufficientComplementError(f"{a.spec()} has no third missing value")
     c3 = cs[2]
     if c3 == c2 + 1:
-        return _DecreasePlan(a, c2, DecreaseCase.C3_ADJACENT, (c1, c2, c3))
-    return _DecreasePlan(a, c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3))
+        return DecreaseWitness(a.spec(), c2, DecreaseCase.C3_ADJACENT, (c1, c2, c3), 0, 0)
+    return DecreaseWitness(a.spec(), c1 + c2, DecreaseCase.C3_GAP, (c1, c2, c3), 0, 0)
 
 
 def predict_r2_decrease(
@@ -207,20 +196,17 @@ def predict_r2_decrease(
     case split needs, and BudgetExceededError before the verifying table up
     to n + 1 would exceed memory_budget.
     """
-    plan = _decrease_case(a)
-    r2 = batch_table(a, plan.n + 1, memory_budget=memory_budget).r2
-    before, after = int(r2[plan.n]), int(r2[plan.n + 1])
+    w = _decrease_case(a)
+    r2 = batch_table(a, w.n + 1, memory_budget=memory_budget).r2
+    before, after = int(r2[w.n]), int(r2[w.n + 1])
     if not before > after:
         raise SelfCheckError(
-            f"predicted decrease at n={plan.n} for {a.spec()} does not hold: "
-            f"r2 goes {before} -> {after} (case {plan.case.value})"
+            f"predicted decrease at n={w.n} for {a.spec()} does not hold: "
+            f"r2 goes {before} -> {after} (case {w.case.value})"
         )
-
-    def witness(p: _DecreasePlan, inner: DecreaseWitness | None = None) -> DecreaseWitness:
-        return DecreaseWitness(p.a.spec(), p.n, p.case, p.c_values, before, after, p.shift, inner)
-
-    # a shifted set contains 0, so its own plan is never SHIFTED
-    return witness(plan, witness(plan.inner) if plan.inner else None)
+    # a shifted set contains 0, so its own witness is never SHIFTED
+    inner = replace(w.inner, before=before, after=after) if w.inner else None
+    return replace(w, before=before, after=after, inner=inner)
 
 
 def decrease_case_resolvable(a: IntegerSet) -> bool:
@@ -239,9 +225,9 @@ def first_r2_decrease_bruteforce(
     """Least n < max_n with r2(n) > r2(n+1), by full table scan."""
     if max_n < 1:
         raise ValueError("max_n must be positive")
-    v = batch_table(a, max_n, memory_budget=memory_budget).r2
-    worse = np.nonzero(v[:-1] > v[1:])[0]
-    return int(worse[0]) if len(worse) else None
+    table = batch_table(a, max_n, memory_budget=memory_budget)
+    violations = find_violations(table, RepKind.R2).violations
+    return violations[0] if violations else None
 
 
 @dataclass(frozen=True)

@@ -208,6 +208,13 @@ class TestRender:
         assert "1000" in err
         assert elapsed < 0.5
 
+    def test_sparse_svg_fits_its_budget(self, capsys):
+        # 17 members and about 200 KB at its traced peak
+        argv = ("render", "--set", "pow2", "--max", "100000", "--format", "svg")
+        code, out, err = run_cli(capsys, *argv, "--budget", "1000000")
+        assert code == 0 and err == ""
+        assert out.startswith("<svg") and out.endswith("</svg>\n")
+
 
 class TestVerify:
     def test_single_suite_passes(self, capsys):

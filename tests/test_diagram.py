@@ -159,6 +159,19 @@ class TestBudget:
         if max_sum >= 150:
             assert estimate <= 2 * peak
 
+    @pytest.mark.parametrize("spec", ["pow2", "empty"])
+    def test_sparse_svg_estimate_covers_traced_peak(self, spec):
+        # the membership bytes are live twice, so one byte per integer
+        # would fall short of the peak here
+        a = parse_set_spec(spec)
+        tracemalloc.start()
+        try:
+            render_diagram(a, 100000, "svg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diagram._estimate_bytes("svg", a, 100000, DEFAULT_MEMORY_BUDGET) >= peak
+
     def test_bad_format(self):
         with pytest.raises(ValueError):
             render_diagram(parse_set_spec("nat"), 4, "png")

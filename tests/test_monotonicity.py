@@ -51,9 +51,10 @@ class TestFindViolations:
         report = find_violations(t, RepKind.R1, strict=False)
         assert report.density_upper == Fraction(3, 10)
 
-    def test_zero_length_table(self):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_zero_length_table(self, strict):
         t = batch_table(parse_set_spec("nat"), 0)
-        report = find_violations(t, RepKind.R1)
+        report = find_violations(t, RepKind.R1, strict)
         assert report.violations == () and report.density_upper == 0
 
     def test_json_shape(self):
