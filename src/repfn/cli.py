@@ -13,8 +13,10 @@ import functools
 import json
 import sys
 
+import numpy as np
+
 from . import verify
-from .core import DEFAULT_MEMORY_BUDGET, RepKind, batch_table
+from .core import DEFAULT_MEMORY_BUDGET, RepKind, _decimal_rows, batch_table
 from .diagram import render_diagram
 from .errors import (
     BudgetExceededError,
@@ -117,13 +119,23 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _json_document(obj: dict) -> str:
+    """`json.dumps(obj) + "\n"` with each array value a list, for a dict
+    whose int64 arrays all come after its other values: json.dumps writes
+    the other values and the decimal writer each array."""
+    arrays = {k: v for k, v in obj.items() if isinstance(v, np.ndarray)}
+    head = json.dumps({k: v for k, v in obj.items() if k not in arrays})
+    tail = "".join(f", {json.dumps(k)}: [{_decimal_rows((v,), end=', ')[:-2]}]" for k, v in arrays.items())
+    return head[:-1] + tail + "}\n"
+
+
 def cmd_table(args: argparse.Namespace) -> int:
     a = parse_set_spec(args.set)
     table = batch_table(a, args.max, memory_budget=args.budget)
     if args.format == "csv":
         _emit(args, table.to_csv())
     else:
-        _emit(args, json.dumps(table.to_json_obj()) + "\n")
+        _emit(args, _json_document(table.to_json_obj()))
     return 0
 
 
@@ -134,7 +146,7 @@ def cmd_violations(args: argparse.Namespace) -> int:
     if args.format == "csv":
         _emit(args, report.to_csv())
     else:
-        _emit(args, json.dumps(report.to_json_obj()) + "\n")
+        _emit(args, _json_document(report.to_json_obj()))
     return 0
 
 

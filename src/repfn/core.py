@@ -18,6 +18,11 @@ length-2^k real FFT certifies every result by an a-priori rounding bound,
 the observed rounding residual and the sum of the counts.  The default
 strategy, `auto`, runs the FFT above N = 4096 and the oracle below; the
 strategy `naive` forces the oracle at any N.
+
+Tables and violation lists leave as text through one decimal writer.  Below
+`_WRITER_CUTOVER` values it %-formats them in Python; above, numpy writes
+blocks of `_CSV_BLOCK` rows, so its scratch memory stays bounded.  Either
+way the bytes equal those of "%d" formatting and of `json.dumps` on lists.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -57,7 +62,8 @@ STRATEGIES = ("naive", "auto")
 FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
 _BLOCK = 128  # block size of the naive kernel's matrix products above FFT_CUTOVER
 _FIXED_BYTES = 2048  # array headers and numpy scratch, about 1.8 KB traced at N <= 16
-_CSV_BLOCK = 4096  # rows formatted per string operation in RepTable.to_csv
+_CSV_BLOCK = 4096  # rows per block of the decimal writer, which bounds its scratch memory
+_WRITER_CUTOVER = 2048  # below this many values the decimal writer %-formats them in Python
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
@@ -120,21 +126,54 @@ class RepTable:
         return getattr(self, RepKind(kind).value)
 
     def to_csv(self) -> str:
-        parts = ["n,r1,r2,r3\n"]
-        for lo in range(0, self.max_n + 1, _CSV_BLOCK):
-            cols = [a[lo : lo + _CSV_BLOCK] for a in (self.r1, self.r2, self.r3)]
-            block = np.column_stack([np.arange(lo, lo + len(cols[0])), *cols])
-            parts.append("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
-        return "".join(parts)
+        n = np.arange(self.max_n + 1)
+        return "n,r1,r2,r3\n" + _decimal_rows((n, self.r1, self.r2, self.r3))
 
     def to_json_obj(self) -> dict:
-        return {
-            "set": self.set_spec,
-            "max_n": self.max_n,
-            "r1": self.r1.tolist(),
-            "r2": self.r2.tolist(),
-            "r3": self.r3.tolist(),
-        }
+        """The JSON document's fields; r1, r2 and r3 stay int64 arrays."""
+        return {"set": self.set_spec, "max_n": self.max_n, "r1": self.r1, "r2": self.r2, "r3": self.r3}
+
+
+def _decimal_rows(cols: Sequence[np.ndarray], end: str = "\n") -> str:
+    """Rows `a,b,c{end}` of equal-length columns of non-negative integers in
+    decimal: the text `("%d,%d,%d" + end) * rows % values` gives."""
+    rows = len(cols[0])
+    if rows * len(cols) < _WRITER_CUTOVER:
+        # numpy's per-call cost outweighs what it saves on a few values
+        values = cols[0] if len(cols) == 1 else np.column_stack(cols).ravel()
+        return (",".join(["%d"] * len(cols)) + end) * rows % tuple(values.tolist())
+    return "".join(
+        _decimal_block([c[lo : lo + _CSV_BLOCK] for c in cols], end)
+        for lo in range(0, rows, _CSV_BLOCK)
+    )
+
+
+def _decimal_block(cols: list[np.ndarray], end: str) -> str:
+    # Every row is laid out at one width: each column right-aligned in as
+    # many digits as its largest value has, then "," or end.  Row j of the
+    # buffer is character j of every text row, so each digit plane, taken
+    # by repeated floor division by 10, is one contiguous write.  A
+    # keep-mask drops the leading zeros, and one boolean compress of the
+    # transposed buffer leaves the text in row order.
+    tails = [","] * (len(cols) - 1) + [end]
+    tops = [int(c.max()) for c in cols]
+    width = sum(len(str(top)) + len(tail) for top, tail in zip(tops, tails))
+    buf = np.empty((width, len(cols[0])), dtype=np.uint8)
+    keep = np.ones(buf.shape, dtype=bool)
+    pos = 0
+    for c, top, tail in zip(cols, tops, tails):
+        q = c.astype(np.int32 if top < 2**31 else np.int64)
+        last = pos + len(str(top)) - 1
+        for p in range(last, pos - 1, -1):
+            if p < last:
+                np.not_equal(q, 0, out=keep[p])
+            div = q // 10
+            np.subtract(q, div * 10, out=buf[p], casting="unsafe")
+            q = div
+        buf[pos : last + 1] += ord("0")
+        pos = last + 1 + len(tail)
+        buf[last + 1 : pos] = np.frombuffer(tail.encode(), np.uint8)[:, None]
+    return buf.T[keep.T].tobytes().decode("ascii")
 
 
 def membership_array(a: IntegerSet, max_n: int) -> np.ndarray:

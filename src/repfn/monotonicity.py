@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import RepKind, RepTable
+from .core import RepKind, RepTable, _decimal_rows
 from .sets import IntegerSet
 
 __all__ = [
@@ -42,7 +42,11 @@ class ViolationReport:
             return Fraction(0)
         return Fraction(self.count, self.max_n)
 
+    def _indices(self) -> np.ndarray:
+        return np.fromiter(self.violations, dtype=np.int64, count=self.count)
+
     def to_json_obj(self) -> dict:
+        """The JSON document's fields; the violations stay an int64 array."""
         d = self.density_upper
         return {
             "set": self.set_spec,
@@ -51,11 +55,11 @@ class ViolationReport:
             "max_n": self.max_n,
             "count": self.count,
             "density_upper": {"num": d.numerator, "den": d.denominator},
-            "violations": list(self.violations),
+            "violations": self._indices(),
         }
 
     def to_csv(self) -> str:
-        return "n\n" + "".join(f"{n}\n" for n in self.violations)
+        return "n\n" + _decimal_rows((self._indices(),))
 
 
 def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> ViolationReport:

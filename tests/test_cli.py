@@ -7,9 +7,13 @@ import sys
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from repfn.cli import main
+from repfn.core import RepKind, batch_table
+from repfn.monotonicity import find_violations
+from repfn.sets import parse_set_spec
 
 
 def verify_suite_names():
@@ -45,6 +49,60 @@ class TestTable:
         code, out, _ = run_cli(capsys, "table", "--set", "nat", "--max", "3", "--out", str(path))
         assert code == 0 and out == ""
         assert path.read_text().startswith("n,r1,r2,r3")
+
+
+def reference_table_csv(t):
+    """Table CSV as `%`-formatted rows, blocks of 4096."""
+    parts = ["n,r1,r2,r3\n"]
+    for lo in range(0, t.max_n + 1, 4096):
+        cols = [a[lo : lo + 4096] for a in (t.r1, t.r2, t.r3)]
+        block = np.column_stack([np.arange(lo, lo + len(cols[0])), *cols])
+        parts.append("%d,%d,%d,%d\n" * len(block) % tuple(block.ravel().tolist()))
+    return "".join(parts)
+
+
+def reference_table_json(t):
+    obj = {"set": t.set_spec, "max_n": t.max_n, "r1": t.r1.tolist(), "r2": t.r2.tolist(), "r3": t.r3.tolist()}
+    return json.dumps(obj) + "\n"
+
+
+def reference_violations_csv(report):
+    return "n\n" + "".join(f"{n}\n" for n in report.violations)
+
+
+def reference_violations_json(report):
+    d = report.density_upper
+    obj = {
+        "set": report.set_spec,
+        "kind": report.kind.value,
+        "strict": report.strict,
+        "max_n": report.max_n,
+        "count": report.count,
+        "density_upper": {"num": d.numerator, "den": d.denominator},
+        "violations": list(report.violations),
+    }
+    return json.dumps(obj) + "\n"
+
+
+class TestOutputBytes:
+    """stdout of `table` and `violations` against the plain formatters,
+    on both sides of the decimal writer's cutover and block size; `nat`
+    has no r1 violation, so its non-strict lists are empty."""
+
+    @pytest.mark.parametrize("max_n", [0, 1, 511, 4095, 4096, 4097, 9000])
+    @pytest.mark.parametrize(
+        "spec", ["nat", "pow2", "complement(pow2)", "periodic:01;0110100", "complement(finite:3,7,40)"]
+    )
+    def test_table_and_violations_match_reference(self, capsys, spec, max_n):
+        t = batch_table(parse_set_spec(spec), max_n)
+        argv = ("--set", spec, "--max", str(max_n))
+        assert run_cli(capsys, "table", *argv, "--format", "csv")[1] == reference_table_csv(t)
+        assert run_cli(capsys, "table", *argv, "--format", "json")[1] == reference_table_json(t)
+        for kind, strict in (("r1", ()), ("r3", ("--strict",))):
+            report = find_violations(t, RepKind(kind), bool(strict))
+            v_argv = ("violations", *argv, "--kind", kind, *strict)
+            assert run_cli(capsys, *v_argv, "--format", "csv")[1] == reference_violations_csv(report)
+            assert run_cli(capsys, *v_argv, "--format", "json")[1] == reference_violations_json(report)
 
 
 class TestExitCodes:

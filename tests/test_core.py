@@ -1,11 +1,13 @@
 import json
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from repfn import core
-from repfn.cli import main
+from repfn.cli import _json_document, main
 from repfn.core import (
     RepKind,
     batch_table,
@@ -420,8 +422,52 @@ class TestSerialization:
 
     def test_json_keys(self):
         t = batch_table(parse_set_spec("pow2"), 5)
-        obj = json.loads(json.dumps(t.to_json_obj()))
+        obj = json.loads(_json_document(t.to_json_obj()))
         assert set(obj) == {"set", "max_n", "r1", "r2", "r3"}
         assert obj["set"] == "pow2"
         assert obj["max_n"] == 5
         assert obj["r1"] == [0, 0, 0, 0, 1, 0]
+
+
+WRITER_LENGTHS = (
+    0,
+    1,
+    core._WRITER_CUTOVER - 1,
+    core._WRITER_CUTOVER,
+    core._WRITER_CUTOVER + 1,
+    core._CSV_BLOCK - 1,
+    core._CSV_BLOCK + 1,
+    3 * core._CSV_BLOCK + 5,
+)
+# 0, and 10^k - 1 and 10^k for every k <= 18: each digit count and its edges
+WRITER_VALUES = sorted({0} | {v for k in range(19) for v in (10**k - 1, 10**k)})
+
+
+def first_difference(got, want):
+    """None if the texts are equal, else where they first differ; pytest's
+    own diff of two long texts takes minutes when every line differs."""
+    if got == want:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(got, want)) if x != y), min(len(got), len(want)))
+    lo = max(i - 30, 0)
+    return f"at {i}: {got[lo : i + 30]!r} != {want[lo : i + 30]!r}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(WRITER_LENGTHS),
+    st.integers(1, 4),
+    st.lists(st.sampled_from(WRITER_VALUES), min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@example(3 * core._CSV_BLOCK + 5, 2, [9, 10], 0)
+@example(core._CSV_BLOCK + 1, 1, [0, 10**18], 1)
+def test_decimal_writer_matches_reference_formats(rows, k, values, seed):
+    rng = np.random.default_rng(seed)
+    cols = [rng.choice(np.array(values, dtype=np.int64), rows) for _ in range(k)]
+    lists = [c.tolist() for c in cols]
+    want = "".join(",".join("%d" % v for v in row) + "\n" for row in zip(*lists))
+    assert first_difference(core._decimal_rows(cols), want) is None
+    obj = {"set": "s", "max_n": rows, **{f"c{j}": c for j, c in enumerate(cols)}}
+    with_lists = {"set": "s", "max_n": rows, **{f"c{j}": v for j, v in enumerate(lists)}}
+    assert first_difference(_json_document(obj), json.dumps(with_lists) + "\n") is None

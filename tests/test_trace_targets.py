@@ -4,11 +4,14 @@ that no longer resolves would drop its layer from a `--trace 1` run."""
 import importlib
 import importlib.util
 import inspect
+import json
+import types
 from pathlib import Path
 
 import pytest
 
-from repfn.core import batch_table
+from repfn import cli
+from repfn.core import RepTable, batch_table
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_spans.py"
 
@@ -33,3 +36,32 @@ def test_batch_table_takes_strategy_third():
     params = list(inspect.signature(batch_table).parameters.values())
     assert params[2].name == "strategy"
     assert params[2].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+
+
+@pytest.mark.parametrize("max_n", [8, 5000])
+@pytest.mark.parametrize(
+    "argv, reached",
+    [
+        (("table", "--format", "json"), {"to_json_obj", "dumps"}),
+        (("table", "--format", "csv"), {"to_csv"}),
+        (("violations", "--format", "json"), {"dumps"}),
+    ],
+)
+def test_bulk_outputs_reach_traced_layers(monkeypatch, capsys, argv, reached, max_n):
+    # bulk-table's layers are RepTable.to_csv, RepTable.to_json_obj and cli's
+    # json.dumps; a run that reaches none of them counts as uncovered
+    calls = dict.fromkeys(("to_csv", "to_json_obj", "dumps"), 0)
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(RepTable, "to_csv", counting("to_csv", RepTable.to_csv))
+    monkeypatch.setattr(RepTable, "to_json_obj", counting("to_json_obj", RepTable.to_json_obj))
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dumps=counting("dumps", json.dumps)))
+    assert cli.main([*argv, "--set", "periodic:01;0110100", "--max", str(max_n)]) == 0
+    capsys.readouterr()
+    assert {name for name, n in calls.items() if n} == reached
