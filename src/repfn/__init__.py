@@ -43,6 +43,7 @@ from .sets import (
     complement,
     complement_prefix,
     contains,
+    eventual_form,
     min_element,
     parse_set_spec,
     shift_down,

@@ -11,13 +11,31 @@ of non-negative integers, batch tables over [0, N], pair counting for
 sparse sets, and an inclusion-exclusion path that reaches large N when the
 complement of A is sparse.
 
-Batch tables get r1 from one of two kernels with identical results.
+Batch tables get r1 from one of two strategies with identical results.
 `naive` is the oracle: a direct pair sum, done by `np.convolve` up to
-N = 4096 and by block matrix products above; neither uses a transform.  A
-length-2^k real FFT certifies every result by an a-priori rounding bound,
-the observed rounding residual and the sum of the counts.  The default
-strategy, `auto`, runs the FFT above N = 4096 and the oracle below; the
-strategy `naive` forces the oracle at any N.
+N = 4096 and by block matrix products above; neither uses a transform.
+The default, `auto`, runs the oracle up to N = 4096.  Above, it answers
+from the set's structure when it can, taking the first route that applies:
+
+1. sparse: at most sqrt(N + 1)/2 members, whose ordered pairs `sparse_r1`
+   counts;
+2. co-sparse: at most sqrt(N + 1)/2 missing values, through
+   `r1_array_via_complement`;
+3. periodic: a set with preperiod q and period p, read from the
+   descriptor by `sets.eventual_form`, and 2q + 3p <= (N + 1)/4, whose r1
+   is extrapolated from a naive table of its first 2q + 3p entries
+   (`_r1_periodic` has the proof) after checking that the membership
+   repeats with period p from q on and that the table's last p entries
+   equal the extrapolation;
+4. otherwise a length-2^k real FFT, certified on every call by an a-priori
+   rounding bound, the observed rounding residual and the sum of the counts.
+
+The limits keep each route well below the FFT's cost: at sqrt(N + 1)
+members or missing values the pairs cost about as much as the FFT.
+The pair routes count in integers; the periodic route and the FFT raise
+`SelfCheckError` rather than return a count they cannot certify.  The
+memory estimate for `auto` above N = 4096 still charges the FFT's buffers,
+which bound every route.
 
 Tables and violation lists leave as text through one decimal writer.  Below
 `_WRITER_CUTOVER` values it %-formats them in Python; above, numpy writes
@@ -37,7 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import BudgetExceededError, SelfCheckError
-from .sets import IntegerSet, complement
+from .sets import IntegerSet, complement, eventual_form
 
 __all__ = [
     "RepKind",
@@ -269,6 +287,55 @@ def _r1_fft(mem: np.ndarray) -> np.ndarray:
     return r1[:n].astype(np.int64)
 
 
+def _r1_auto(a: IntegerSet, mem: np.ndarray) -> np.ndarray:
+    # The route order of the module docstring.  A route runs only where its
+    # own work is at most a quarter of the table length: m^2 member or miss
+    # pairs, or a naive prefix of 2q + 3p entries.
+    n = len(mem)
+    members = a.count(n - 1)
+    if 4 * members * members <= n:
+        r1 = np.zeros(n, dtype=np.int64)
+        pairs = sparse_r1(a, n - 1)
+        r1[list(pairs)] = list(pairs.values())
+        return r1
+    if 4 * (n - members) ** 2 <= n:
+        return r1_array_via_complement(a, n - 1)
+    form = eventual_form(a)
+    if form is not None and 4 * (2 * form[0] + 3 * form[1]) <= n:
+        return _r1_periodic(mem, *form)
+    return _r1_fft(mem)
+
+
+def _r1_periodic(mem: np.ndarray, q: int, p: int) -> np.ndarray:
+    """r1 of a set with preperiod q and period p, from a naive table of its
+    first 2q + 3p entries.
+
+    The generating function is A(z) = E(z) + z^q Q(z)/(1 - z^p) with
+    deg E < q and deg Q < p, so (1 - z^p) A(z) is a polynomial of degree at
+    most q + p - 1, and (1 - z^p)^2 A(z)^2 one of degree at most
+    2q + 2p - 2.  Its coefficient of z^(m + 2p) is
+    r1(m + 2p) - 2 r1(m + p) + r1(m), which is therefore 0 for every
+    m >= 2q - 1.  So for b >= 2q, r1(b + jp) = r1(b) + j (r1(b + p) - r1(b)).
+    The table gives r1 on [2q, 2q + 2p).  Two checks raise SelfCheckError:
+    mem itself must repeat with period p from q on, so the proof holds for
+    this input whatever pair was passed, and the table's last p entries
+    must equal the extrapolation.
+    """
+    n, s = len(mem), 2 * q
+    if not np.array_equal(mem[q + p :], mem[q : n - p]):
+        raise SelfCheckError(f"membership from {q} does not repeat with period {p}")
+    head = _r1_naive(mem[: s + 3 * p])
+    base = head[s : s + p]
+    step = head[s + p : s + 2 * p] - base
+    if not np.array_equal(head[s + 2 * p :], base + 2 * step):
+        raise SelfCheckError(f"r1 from {s} does not follow period {p} in its naive prefix")
+    j = np.arange(-(-(n - s) // p), dtype=np.int64)[:, None]
+    r1 = np.empty(n, dtype=np.int64)
+    r1[:s] = head[:s]
+    r1[s:] = (base + j * step).ravel()[: n - s]
+    return r1
+
+
 def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
     # r1 = 2*r3 + d and r2 = r3 + d, where d is the diagonal indicator
     r2 = (r1 + d) >> 1
@@ -304,15 +371,17 @@ def batch_table(
     """Compute all three functions on [0, max_n].
 
     Both strategies produce identical tables by contract.  "auto" (the
-    default) uses the naive kernel up to N = 4096 and the FFT kernel above;
-    the FFT is certified by its rounding bound, rounding residual and count
-    sum, and raises SelfCheckError rather than return a count it cannot
-    certify.  "naive" is the oracle at any N: a direct pair sum, done by
-    np.convolve up to N = 4096 and by block matrix products above, with no
-    transform in either.  The memory estimate checked against
-    `memory_budget` follows the kernel that runs.  r2 and r3 are derived
-    from r1 and the diagonal indicator, which keeps a single source of
-    truth for the counts.
+    default) uses the naive kernel up to N = 4096; above, it answers from
+    the set's members, its missing values or its period where one of them
+    is short (`_r1_auto`), else from the FFT kernel.  The periodic route
+    and the FFT are certified and raise SelfCheckError rather than return
+    a count they cannot certify.  "naive" is the oracle at any N: a direct pair sum,
+    done by np.convolve up to N = 4096 and by block matrix products above,
+    with no transform in either.  The memory estimate checked against
+    `memory_budget` follows the strategy; above N = 4096 "auto" is charged
+    the FFT's buffers whichever route runs.  r2 and r3 are derived from r1
+    and the diagonal indicator, which keeps a single source of truth for
+    the counts.
     """
     _check_n(max_n)
     if strategy not in STRATEGIES:
@@ -323,7 +392,7 @@ def batch_table(
             f"a table up to {max_n} needs about {need} bytes", budget=memory_budget
         )
     mem = membership_array(a, max_n)
-    r1 = (_r1_fft if _runs_fft(max_n, strategy) else _r1_naive)(mem)
+    r1 = _r1_auto(a, mem) if _runs_fft(max_n, strategy) else _r1_naive(mem)
     return _derive_table(a.spec(), r1, _diagonal(mem))
 
 

@@ -24,13 +24,14 @@ class ViolationReport:
 
     Non-strict mode lists n with r(n) > r(n+1); strict mode lists n with
     r(n+1) <= r(n).  The last index has no step and is never listed.
+    `violations` is a read-only int64 array in increasing order.
     """
 
     set_spec: str
     kind: RepKind
     strict: bool
     max_n: int
-    violations: tuple[int, ...]
+    violations: np.ndarray
 
     @property
     def count(self) -> int:
@@ -42,9 +43,6 @@ class ViolationReport:
             return Fraction(0)
         return Fraction(self.count, self.max_n)
 
-    def _indices(self) -> np.ndarray:
-        return np.fromiter(self.violations, dtype=np.int64, count=self.count)
-
     def to_json_obj(self) -> dict:
         """The JSON document's fields; the violations stay an int64 array."""
         d = self.density_upper
@@ -55,11 +53,11 @@ class ViolationReport:
             "max_n": self.max_n,
             "count": self.count,
             "density_upper": {"num": d.numerator, "den": d.denominator},
-            "violations": self._indices(),
+            "violations": self.violations,
         }
 
     def to_csv(self) -> str:
-        return "n\n" + _decimal_rows((self._indices(),))
+        return "n\n" + _decimal_rows((self.violations,))
 
 
 def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> ViolationReport:
@@ -67,7 +65,8 @@ def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> Vio
     kind = RepKind(kind)
     v = table.values(kind)
     bad = (v[1:] <= v[:-1]) if strict else (v[:-1] > v[1:])
-    idx = tuple(np.flatnonzero(bad).tolist())
+    idx = np.flatnonzero(bad).astype(np.int64, copy=False)
+    idx.setflags(write=False)
     return ViolationReport(table.set_spec, kind, strict, table.max_n, idx)
 
 

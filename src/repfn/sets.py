@@ -5,7 +5,9 @@ explicit finite lists, eventually periodic bit patterns, the powers of two
 2, 4, 8, ..., complements, and downward shifts.  Membership of any n, the
 next member or missing value from any k (`next_value`), and the member count
 of [0, n] (`count`) are decided in time bounded by the descriptor size, so
-nothing here scans up to a value.
+nothing here scans up to a value.  A descriptor without `pow2` is eventually
+periodic, and `eventual_form` gives a preperiod and period from the
+descriptor.
 
 The textual mini-language (`parse_set_spec`) is:
 
@@ -41,6 +43,7 @@ __all__ = [
     "shift_down",
     "min_element",
     "complement_prefix",
+    "eventual_form",
 ]
 
 
@@ -310,6 +313,26 @@ def complement_prefix(a: IntegerSet, count: int) -> tuple[int, ...]:
             break
         found.append(c)
     return tuple(found)
+
+
+def eventual_form(a: IntegerSet) -> tuple[int, int] | None:
+    """A preperiod q and a period p of a, or None when its descriptor holds `pow2`.
+
+    n >= q is a member exactly when n + p is.  The pair comes from the
+    descriptor alone, in time bounded by its size: a finite set is periodic
+    from one past its largest element with period 1, a periodic set gives
+    its own lengths, a complement keeps its inner pair and a shift by k
+    lowers q by k.  The pair need not be the shortest.
+    """
+    if isinstance(a, PeriodicSet):
+        return len(a.preperiod), len(a.period)
+    if isinstance(a, FiniteSet):
+        return (a.elements[-1] + 1 if a.elements else 0), 1
+    inner = eventual_form(a.inner) if isinstance(a, (Complement, Shifted)) else None
+    if inner is None or isinstance(a, Complement):
+        return inner
+    q, p = inner
+    return max(q - a.offset, 0), p
 
 
 # --- set-spec parsing ---------------------------------------------------

@@ -226,8 +226,8 @@ def first_r2_decrease_bruteforce(
     if max_n < 1:
         raise ValueError("max_n must be positive")
     table = batch_table(a, max_n, memory_budget=memory_budget)
-    violations = find_violations(table, RepKind.R2).violations
-    return violations[0] if violations else None
+    v = find_violations(table, RepKind.R2).violations
+    return int(v[0]) if len(v) else None
 
 
 @dataclass(frozen=True)

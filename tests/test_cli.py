@@ -79,7 +79,7 @@ def reference_violations_json(report):
         "max_n": report.max_n,
         "count": report.count,
         "density_upper": {"num": d.numerator, "den": d.denominator},
-        "violations": list(report.violations),
+        "violations": report.violations.tolist(),
     }
     return json.dumps(obj) + "\n"
 

@@ -23,8 +23,16 @@ from repfn.core import (
 )
 from repfn.errors import BudgetExceededError, SelfCheckError
 from repfn.pool import mixed_pool, periodic_pool
-from repfn.sets import PowersOfTwo, min_element, parse_set_spec, shift_down
+from repfn.sets import FiniteSet, PowersOfTwo, min_element, parse_set_spec, shift_down
 from repfn.verify import _half_range_counts, _r1_word_parallel
+
+
+def unstructured_set(max_n, seed=5):
+    """A seeded finite set of about max_n / 2 values up to max_n: too many
+    members and missing values for the pair routes of `auto`, and a
+    preperiod too long for its periodic route, so `auto` runs the FFT."""
+    rng = np.random.default_rng(seed)
+    return FiniteSet(tuple(np.flatnonzero(rng.random(max_n + 1) < 0.5).tolist()))
 
 
 def brute_counts(a, n):
@@ -187,19 +195,20 @@ class TestFftKernel:
         assert core._fft_error_bound(24, 1 << 23) < 1e-6
         monkeypatch.setattr(core, "_fft_error_bound", lambda k, norm2: 0.25)
         with pytest.raises(SelfCheckError, match="not certifiable"):
-            batch_table(parse_set_spec("complement(pow2)"), 5000)
+            batch_table(unstructured_set(5000), 5000)
 
     def test_rounding_residual_checked(self, monkeypatch):
         self._corrupt_irfft(monkeypatch, 3, 0.3)
         with pytest.raises(SelfCheckError, match="residual"):
-            batch_table(parse_set_spec("complement(pow2)"), 5000)
+            batch_table(unstructured_set(5000), 5000)
 
     def test_count_sum_checked(self, monkeypatch, capsys):
         # one extra pair past N leaves r1 on [0, N] intact; only the sum shows it
         self._corrupt_irfft(monkeypatch, -1, 1.0)
+        a = unstructured_set(5000)
         with pytest.raises(SelfCheckError, match="sums to"):
-            batch_table(parse_set_spec("complement(pow2)"), 5000)
-        assert main(["table", "--set", "complement(pow2)", "--max", "5000"]) == 1
+            batch_table(a, 5000)
+        assert main(["table", "--set", a.spec(), "--max", "5000"]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and "not certified" in captured.err
 
@@ -230,8 +239,8 @@ class TestFftKernel:
             raise FftCalled
 
         monkeypatch.setattr(core, "_r1_fft", refuse)
-        a = parse_set_spec("complement(pow2)")
         cut = core.FFT_CUTOVER
+        a = unstructured_set(cut + 1)
         batch_table(a, cut)
         batch_table(a, cut + 1, "naive")
         with pytest.raises(FftCalled):
@@ -240,6 +249,114 @@ class TestFftKernel:
         fft_term = 16 * (1 << (2 * cut + 3).bit_length())
         assert core._estimate_bytes(cut) == core._estimate_bytes(cut, "naive")
         assert core._estimate_bytes(cut + 1) == core._estimate_bytes(cut + 1, "naive") + fft_term
+
+
+class TestAutoRoutes:
+    """`auto` above FFT_CUTOVER answers from the set's structure where it can."""
+
+    ROUTED = [
+        ("pow2", "sparse_r1"),
+        ("shift(1,pow2)", "sparse_r1"),
+        ("complement(pow2)", "r1_array_via_complement"),
+        ("complement(finite:3,7,40)", "r1_array_via_complement"),
+        ("periodic:01;0110100", "_r1_periodic"),
+        ("complement(periodic:1;011)", "_r1_periodic"),
+        ("shift(3,periodic:0001;011)", "_r1_periodic"),
+    ]
+
+    @staticmethod
+    def _record_routes(monkeypatch):
+        # the co-sparse route reaches sparse_r1 too, so the route is the first call
+        calls = []
+
+        def refuse(mem):
+            raise AssertionError("the FFT ran")
+
+        def spy(name, real):
+            def call(*args):
+                calls.append(name)
+                return real(*args)
+
+            return call
+
+        monkeypatch.setattr(core, "_r1_fft", refuse)
+        for name in ("sparse_r1", "r1_array_via_complement", "_r1_periodic"):
+            monkeypatch.setattr(core, name, spy(name, getattr(core, name)))
+        return calls
+
+    @pytest.mark.parametrize("max_n", [4097, 9001, 2**15])
+    @pytest.mark.parametrize("spec, route", ROUTED)
+    def test_route_equals_naive(self, monkeypatch, spec, route, max_n):
+        a = parse_set_spec(spec)
+        want = batch_table(a, max_n, "naive")
+        calls = self._record_routes(monkeypatch)
+        got = batch_table(a, max_n)
+        assert calls[:1] == [route]
+        for kind in RepKind:
+            assert np.array_equal(got.values(kind), want.values(kind))
+
+    def test_naive_takes_no_route(self, monkeypatch):
+        calls = self._record_routes(monkeypatch)
+        batch_table(parse_set_spec("pow2"), 9001, "naive")
+        assert calls == []
+
+    def test_periodic_route_checks_its_prefix(self, monkeypatch):
+        real = core._r1_naive
+
+        def corrupted(mem):
+            r1 = real(mem)
+            r1[-1] += 1
+            return r1
+
+        monkeypatch.setattr(core, "_r1_naive", corrupted)
+        with pytest.raises(SelfCheckError, match="period"):
+            batch_table(parse_set_spec("periodic:01;0110100"), 9001)
+
+    def test_periodic_route_checks_its_input(self, monkeypatch):
+        # period 3 from 0 is wrong for this set, and its naive prefix still fits it
+        monkeypatch.setattr(core, "eventual_form", lambda a: (0, 3))
+        with pytest.raises(SelfCheckError, match="repeat"):
+            batch_table(parse_set_spec("periodic:01;0110100"), 9001)
+
+    FAR_MEMBERS = ",".join(map(str, [3 + 125 * i for i in range(40)] + [10**12]))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            f"finite:{FAR_MEMBERS}",
+            f"complement(finite:{FAR_MEMBERS})",
+            f"shift(3,finite:{FAR_MEMBERS})",
+        ],
+    )
+    def test_far_element_costs_nothing_up_to_it(self, monkeypatch, spec):
+        # 40 members up to N: no pair route; a preperiod past 10^12: no periodic route
+        a, max_n = parse_set_spec(spec), 5000
+        want = batch_table(a, max_n, "naive")
+        fft = core._r1_fft
+        calls = self._record_routes(monkeypatch)
+        monkeypatch.setattr(core, "_r1_fft", lambda mem: calls.append("_r1_fft") or fft(mem))
+        tracemalloc.start()
+        try:
+            got = batch_table(a, max_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == ["_r1_fft"]
+        assert peak <= core._estimate_bytes(max_n)
+        for kind in RepKind:
+            assert np.array_equal(got.values(kind), want.values(kind))
+
+    @pytest.mark.parametrize("spec", [spec for spec, _ in ROUTED[::2]] + ["unstructured"])
+    def test_route_peak_within_estimate(self, spec):
+        max_n = 2**17
+        a = unstructured_set(max_n) if spec == "unstructured" else parse_set_spec(spec)
+        tracemalloc.start()
+        try:
+            batch_table(a, max_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= core._estimate_bytes(max_n)
 
 
 class TestSubsetMonotonicity:

@@ -24,17 +24,17 @@ def scan_steps(values, strict):
 class TestFindViolations:
     def test_full_set_nonstrict_clean(self):
         t = batch_table(parse_set_spec("nat"), 10)
-        assert find_violations(t, RepKind.R2, strict=False).violations == ()
+        assert find_violations(t, RepKind.R2, strict=False).violations.tolist() == []
 
     def test_full_set_strict_flat_steps(self):
         t = batch_table(parse_set_spec("nat"), 6)
-        assert find_violations(t, RepKind.R2, strict=True).violations == (0, 2, 4)
+        assert find_violations(t, RepKind.R2, strict=True).violations.tolist() == [0, 2, 4]
 
     def test_pow2_drops(self):
         t = batch_table(parse_set_spec("pow2"), 10)
         report = find_violations(t, RepKind.R1, strict=False)
         assert {4, 6} <= set(report.violations)
-        assert report.violations == (4, 6, 8)
+        assert report.violations.tolist() == [4, 6, 8]
 
     def test_matches_plain_scan(self):
         for a in mixed_pool(12, seed=21):
@@ -55,7 +55,7 @@ class TestFindViolations:
     def test_zero_length_table(self, strict):
         t = batch_table(parse_set_spec("nat"), 0)
         report = find_violations(t, RepKind.R1, strict)
-        assert report.violations == () and report.density_upper == 0
+        assert report.violations.tolist() == [] and report.density_upper == 0
 
     def test_json_shape(self):
         t = batch_table(parse_set_spec("pow2"), 10)

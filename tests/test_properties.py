@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from repfn.core import (
+    FFT_CUTOVER,
     RepKind,
     batch_table,
     r1_array_via_complement,
@@ -24,6 +25,7 @@ from repfn.sets import (
     complement,
     complement_prefix,
     contains,
+    eventual_form,
     min_element,
     parse_set_spec,
     shift_down,
@@ -160,6 +162,25 @@ def test_batch_matches_pointwise_small(a, strategy):
         assert int(t.r1[n]) == r1_at(a, n)
         assert int(t.r2[n]) == r2_at(a, n)
         assert int(t.r3[n]) == r3_at(a, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(integer_sets(), st.integers(FFT_CUTOVER + 1, 3 * FFT_CUTOVER))
+def test_auto_matches_naive_above_cutover(a, max_n):
+    got, want = batch_table(a, max_n), batch_table(a, max_n, "naive")
+    for kind in RepKind:
+        assert np.array_equal(got.values(kind), want.values(kind))
+
+
+@COMMON
+@given(integer_sets())
+def test_eventual_form_is_a_period_of_the_set(a):
+    form = eventual_form(a)
+    assert (form is None) == ("pow2" in a.spec())
+    if form is not None:
+        q, p = form
+        mem = a.membership_bytes(q + p + 300)
+        assert mem[q + p :] == mem[q : len(mem) - p]
 
 
 @COMMON
