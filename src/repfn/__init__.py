@@ -57,7 +57,6 @@ from .witnesses import (
     first_r2_decrease_bruteforce,
     predict_r2_decrease,
     refute_strict_increase,
-    remove_first_powers,
     violation_bound,
 )
 

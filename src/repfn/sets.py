@@ -11,19 +11,23 @@ descriptor.
 
 The textual mini-language (`parse_set_spec`) is:
 
-    spec  := "nat" | "empty" | "pow2" | "finite:" ints
-           | "periodic:" bits ";" bits
-           | "complement(" spec ")" | "shift(" uint "," spec ")"
-    ints  := "" | uint ("," uint)*          strictly increasing
-    bits  := ("0"|"1")*                     period part must be nonempty
+    spec   := prefix* atom ")"*              one ")" closes each prefix
+    prefix := "complement(" | "shift(" uint ","
+    atom   := "nat" | "empty" | "pow2" | "finite:" ints
+            | "periodic:" bits ";" bits
+    ints   := "" | uint ("," uint)*          strictly increasing
+    bits   := ("0"|"1")*                     period part must be nonempty
+    uint   := decimal digits
 
-Whitespace is not significant.  "nat" is sugar for complement(finite:) and
-"empty" for finite:.  Bit k of the unrolled preperiod+period sequence gives
-membership of the integer k.
+At most MAX_NESTING (64) prefixes wrap the atom, so no method of a parsed
+descriptor recurses deeper than that.  Whitespace is not significant.
+"nat" is sugar for complement(finite:) and "empty" for finite:.  Bit k of
+the unrolled preperiod+period sequence gives membership of the integer k.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
@@ -38,6 +42,7 @@ __all__ = [
     "Complement",
     "Shifted",
     "parse_set_spec",
+    "MAX_NESTING",
     "contains",
     "complement",
     "shift_down",
@@ -64,8 +69,8 @@ class IntegerSet:
         """Canonical set-spec string; `parse_set_spec` round-trips it."""
         raise NotImplementedError
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        """Memberships of 0..max_n as a bytes object of 0/1 values."""
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        """Memberships of start..max_n as a bytes object of 0/1 values."""
         raise NotImplementedError
 
     def count(self, max_n: int) -> int:
@@ -112,12 +117,12 @@ class FiniteSet(IntegerSet):
             return "empty"
         return "finite:" + ",".join(map(str, self.elements))
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        out = bytearray(max_n + 1)
-        for e in self.elements:
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        out = bytearray(max_n + 1 - start)
+        for e in self.elements[bisect_left(self.elements, start) :]:
             if e > max_n:
                 break
-            out[e] = 1
+            out[e - start] = 1
         return bytes(out)
 
     def members(self, max_n: int) -> list[int]:
@@ -125,6 +130,10 @@ class FiniteSet(IntegerSet):
 
     def count(self, max_n: int) -> int:
         return bisect_right(self.elements, max_n)
+
+
+# translate() table from the "0"/"1" characters of a bit string to 0/1 bytes
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 @dataclass(frozen=True)
@@ -146,24 +155,25 @@ class PeriodicSet(IntegerSet):
             return self.preperiod[n] == "1"
         return self.period[(n - len(self.preperiod)) % len(self.period)] == "1"
 
-    def next_value(self, k: int, member: bool = True) -> int | None:
-        # the bits from k on: the rest of the preperiod, then one full period
+    def _bits_from(self, k: int) -> tuple[str, str]:
+        """The bits from k on: the rest of the preperiod, then the period
+        rotated to the phase where it resumes, repeated forever."""
         pre = len(self.preperiod)
         phase = (max(k, pre) - pre) % len(self.period)
-        i = (self.preperiod[k:] + self.period[phase:] + self.period[:phase]).find("01"[member])
+        return self.preperiod[k:], self.period[phase:] + self.period[:phase]
+
+    def next_value(self, k: int, member: bool = True) -> int | None:
+        i = "".join(self._bits_from(k)).find("01"[member])
         return None if i == -1 else k + i
 
     def spec(self) -> str:
         return f"periodic:{self.preperiod};{self.period}"
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        length = max_n + 1
-        pre = bytes(c == "1" for c in self.preperiod)
-        if length <= len(pre):
-            return pre[:length]
-        per = bytes(c == "1" for c in self.period)
-        reps = (length - len(pre) + len(per) - 1) // len(per)
-        return (pre + per * reps)[:length]
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        length = max_n + 1 - start
+        head, per = (bits.encode().translate(_BIT_VALUES) for bits in self._bits_from(start))
+        reps = max(length - len(head), 0) // len(per) + 1
+        return (head + per * reps)[:length]
 
     def count(self, max_n: int) -> int:
         pre, per = self.preperiod, self.period
@@ -189,11 +199,12 @@ class PowersOfTwo(IntegerSet):
     def spec(self) -> str:
         return "pow2"
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        out = bytearray(max_n + 1)
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        out = bytearray(max_n + 1 - start)
         p = 2
         while p <= max_n:
-            out[p] = 1
+            if p >= start:
+                out[p - start] = 1
             p <<= 1
         return bytes(out)
 
@@ -223,8 +234,8 @@ class Complement(IntegerSet):
             return "nat"
         return f"complement({self.inner.spec()})"
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        return self.inner.membership_bytes(max_n).translate(_FLIP)
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        return self.inner.membership_bytes(max_n, start).translate(_FLIP)
 
     def count(self, max_n: int) -> int:
         return max_n + 1 - self.inner.count(max_n)
@@ -256,8 +267,8 @@ class Shifted(IntegerSet):
     def spec(self) -> str:
         return f"shift({self.offset},{self.inner.spec()})"
 
-    def membership_bytes(self, max_n: int) -> bytes:
-        return self.inner.membership_bytes(max_n + self.offset)[self.offset :]
+    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
+        return self.inner.membership_bytes(max_n + self.offset, start + self.offset)
 
     def members(self, max_n: int) -> list[int]:
         return [m - self.offset for m in self.inner.members(max_n + self.offset)]
@@ -337,19 +348,49 @@ def eventual_form(a: IntegerSet) -> tuple[int, int] | None:
 
 # --- set-spec parsing ---------------------------------------------------
 
+MAX_NESTING = 64  # complement( and shift( prefixes around one atom
+
+_UINT = re.compile(r"\d+")
+_UINTS = re.compile(r"(?:\d+(?:,\d+)*)?")
+_BITS = re.compile(r"[01]*")
+
 
 def parse_set_spec(text: str) -> IntegerSet:
     """Parse a set-spec string; raises SetSpecError with a position on errors."""
     s = "".join(text.split())
     if not s:
         raise SetSpecError("empty set-spec", position=0)
-    value, pos = _parse_spec(s, 0)
-    if pos != len(s):
-        raise SetSpecError(f"unexpected {s[pos]!r}", position=pos)
+    # the prefixes, outermost first, as (position, shift offset or None)
+    prefixes: list[tuple[int, int | None]] = []
+    i = 0
+    while s.startswith(("complement(", "shift("), i):
+        if len(prefixes) == MAX_NESTING:
+            raise SetSpecError(f"set-spec nested deeper than {MAX_NESTING} levels", position=i)
+        if s[i] == "c":
+            prefixes.append((i, None))
+            i += 11
+            continue
+        m = _UINT.match(s, i + 6)
+        if m is None:
+            raise SetSpecError("expected a number", position=i + 6)
+        prefixes.append((i, int(m.group())))
+        i = _expect(s, m.end(), ",")
+    value, i = _parse_atom(s, i)
+    for start, offset in reversed(prefixes):
+        i = _expect(s, i, ")")
+        if offset is None:
+            value = complement(value)
+            continue
+        try:
+            value = shift_down(value, offset)
+        except EmptySetError:
+            raise SetSpecError("cannot shift an empty set", position=start) from None
+    if i != len(s):
+        raise SetSpecError(f"unexpected {s[i]!r}", position=i)
     return value
 
 
-def _parse_spec(s: str, i: int) -> tuple[IntegerSet, int]:
+def _parse_atom(s: str, i: int) -> tuple[IntegerSet, int]:
     if s.startswith("nat", i):
         return complement(FiniteSet()), i + 3
     if s.startswith("empty", i):
@@ -357,21 +398,15 @@ def _parse_spec(s: str, i: int) -> tuple[IntegerSet, int]:
     if s.startswith("pow2", i):
         return PowersOfTwo(), i + 4
     if s.startswith("finite:", i):
-        return _parse_finite(s, i + 7)
+        ints = _UINTS.match(s, i + 7).group()
+        return FiniteSet(tuple(map(int, ints.split(","))) if ints else ()), i + 7 + len(ints)
     if s.startswith("periodic:", i):
-        return _parse_periodic(s, i + 9)
-    if s.startswith("complement(", i):
-        inner, j = _parse_spec(s, i + 11)
-        return complement(inner), _expect(s, j, ")")
-    if s.startswith("shift(", i):
-        m, j = _parse_uint(s, i + 6)
-        j = _expect(s, j, ",")
-        inner, j = _parse_spec(s, j)
-        j = _expect(s, j, ")")
-        try:
-            return shift_down(inner, m), j
-        except EmptySetError:
-            raise SetSpecError("cannot shift an empty set", position=i) from None
+        pre = _BITS.match(s, i + 9).group()
+        j = _expect(s, i + 9 + len(pre), ";")
+        per = _BITS.match(s, j).group()
+        if not per:
+            raise SetSpecError("period must be nonempty", position=j)
+        return PeriodicSet(pre, per), j + len(per)
     raise SetSpecError("expected a set expression", position=i)
 
 
@@ -379,42 +414,3 @@ def _expect(s: str, i: int, ch: str) -> int:
     if i < len(s) and s[i] == ch:
         return i + 1
     raise SetSpecError(f"expected {ch!r}", position=i)
-
-
-def _parse_uint(s: str, i: int) -> tuple[int, int]:
-    j = i
-    while j < len(s) and s[j].isdigit():
-        j += 1
-    if j == i:
-        raise SetSpecError("expected a number", position=i)
-    return int(s[i:j]), j
-
-
-def _parse_finite(s: str, i: int) -> tuple[IntegerSet, int]:
-    values: list[int] = []
-    j = i
-    while j < len(s) and s[j].isdigit():
-        v, j = _parse_uint(s, j)
-        values.append(v)
-        # a comma continues the list only when a digit follows it
-        if j + 1 < len(s) and s[j] == "," and s[j + 1].isdigit():
-            j += 1
-        else:
-            break
-    return FiniteSet(tuple(values)), j
-
-
-def _parse_periodic(s: str, i: int) -> tuple[IntegerSet, int]:
-    pre, j = _parse_bits(s, i)
-    j = _expect(s, j, ";")
-    per, j = _parse_bits(s, j)
-    if not per:
-        raise SetSpecError("period must be nonempty", position=j)
-    return PeriodicSet(pre, per), j
-
-
-def _parse_bits(s: str, i: int) -> tuple[str, int]:
-    j = i
-    while j < len(s) and s[j] in "01":
-        j += 1
-    return s[i:j], j

@@ -22,7 +22,6 @@ from .core import DEFAULT_MEMORY_BUDGET, RepKind, RepTable, batch_table
 from .errors import EmptySetError, InsufficientComplementError, SelfCheckError
 from .monotonicity import find_violations
 from .sets import (
-    FiniteSet,
     IntegerSet,
     PowersOfTwo,
     complement,
@@ -33,7 +32,6 @@ from .sets import (
 
 __all__ = [
     "almost_monotone_set",
-    "remove_first_powers",
     "violation_bound",
     "check_block_values",
     "block_value",
@@ -55,13 +53,6 @@ def almost_monotone_set(variant: int) -> IntegerSet:
     if variant == 2:
         return complement(PowersOfTwo())
     raise ValueError("variant must be 1 or 2")
-
-
-def remove_first_powers(j: int) -> IntegerSet:
-    """All non-negative integers except 2, 4, ..., 2**j."""
-    if j < 1:
-        raise ValueError("j must be positive")
-    return complement(FiniteSet(tuple(2**i for i in range(1, j + 1))))
 
 
 def violation_bound(variant: int, max_n: int) -> int:

@@ -165,6 +165,26 @@ class TestExitCodes:
         assert "1000" in err
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("table", "--max", "10"), ("render", "--max", "10", "--format", "svg"), ("witness", "--max", "8")],
+        ids=["table", "render-svg", "witness"],
+    )
+    def test_shift_offset_costs_no_memory(self, capsys, argv):
+        # the shifted set is {0, 1, 3, 6}; a shift reads only its inner window
+        shifted = "shift(10000000,finite:10000000,10000001,10000003,10000006)"
+        plain = "finite:0,1,3,6"
+        expected = run_cli(capsys, argv[0], "--set", plain, *argv[1:])[1]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, argv[0], "--set", shifted, *argv[1:], "--budget", "100000")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and err == ""
+        assert out == expected.replace(plain, shifted)
+        assert peak < 1 << 20
+
     def test_help_exits_zero(self, capsys):
         assert run_cli(capsys, "--help")[0] == 0
 
@@ -382,3 +402,17 @@ class TestDataStreamPurity:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr != ""
+
+    @pytest.mark.parametrize("depth", [1200, 10**4])
+    @pytest.mark.parametrize("prefix", ["complement(", "shift(0,"])
+    def test_deep_nesting_is_a_spec_error_in_subprocess(self, prefix, depth):
+        spec = prefix * depth + "pow2" + ")" * depth
+        proc = subprocess.run(
+            [sys.executable, "-m", "repfn", "density", "--set", spec, "--max", "100"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert "Traceback" not in proc.stderr and "nested deeper than 64" in proc.stderr

@@ -14,6 +14,7 @@ import pytest
 import repfn
 from repfn.cli import build_parser
 from repfn.core import STRATEGIES
+from repfn.sets import parse_set_spec
 from repfn.verify import SUITE_NAMES
 
 PACKAGE_DIR = Path(repfn.__file__).parent
@@ -94,3 +95,16 @@ def test_readme_library_block_prints_what_it_shows():
     assert expected
     for i, text in expected.items():
         assert got[i] == text
+
+
+def test_readme_set_table_matches_the_parser():
+    rows = re.findall(r"^\| `([^`]+)` +\| (.*?) *\|$", _readme_section("Describing sets"), flags=re.MULTILINE)
+    assert len(rows) == 7
+    named = 0
+    for spec, description in rows:
+        a = parse_set_spec(spec)
+        listed = re.search(r"\{([\d, ]+)\}", description)
+        if listed:
+            named += 1
+            assert a.members(1000) == [int(v) for v in listed.group(1).split(",")], spec
+    assert named == 2

@@ -17,9 +17,11 @@ from repfn.core import (
     sparse_r1,
 )
 from repfn.diagram import render_diagram
-from repfn.errors import EmptySetError, InsufficientComplementError
+from repfn.errors import EmptySetError, InsufficientComplementError, SetSpecError
 from repfn.sets import (
+    MAX_NESTING,
     FiniteSet,
+    IntegerSet,
     PeriodicSet,
     PowersOfTwo,
     complement,
@@ -67,6 +69,40 @@ def test_spec_round_trip(a):
     again = parse_set_spec(a.spec())
     assert again == a
     assert again.membership_bytes(300) == a.membership_bytes(300)
+
+
+# pieces of specs, right and wrong, including a digit that str.isdigit takes
+# and int() does not
+SPEC_TOKENS = [
+    "nat", "empty", "pow2", "finite:", "periodic:", "complement(", "shift(",
+    ")", "(", ",", ";", "0", "1", "7", "12", " ", "x", "\u00b2",
+]
+spec_pieces = st.lists(st.sampled_from(SPEC_TOKENS), max_size=16).map("".join)
+
+
+@st.composite
+def nested_specs(draw):
+    prefix = draw(st.sampled_from(["complement(", "shift(0,", "shift(1,", "complement(shift(0,"]))
+    depth = draw(st.integers(0, 2 * MAX_NESTING))
+    closing = draw(st.integers(0, depth * prefix.count("(")))
+    return prefix * depth + draw(spec_pieces) + ")" * closing
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="natemypow2fiecrdl:();,01 \u00b2"), spec_pieces, nested_specs()))
+def test_parse_returns_a_set_or_a_spec_error(text):
+    try:
+        a = parse_set_spec(text)
+    except SetSpecError:
+        return
+    assert isinstance(a, IntegerSet)
+
+
+@COMMON
+@given(integer_sets(), st.integers(0, 120), st.integers(0, 121))
+def test_membership_window_is_a_slice(a, max_n, start):
+    start = min(start, max_n + 1)
+    assert a.membership_bytes(max_n, start) == a.membership_bytes(max_n)[start:]
 
 
 @COMMON

@@ -2,6 +2,7 @@ import pytest
 
 from repfn.errors import EmptySetError, SetSpecError
 from repfn.sets import (
+    MAX_NESTING,
     Complement,
     FiniteSet,
     PeriodicSet,
@@ -10,10 +11,36 @@ from repfn.sets import (
     complement,
     complement_prefix,
     contains,
+    eventual_form,
     min_element,
     parse_set_spec,
     shift_down,
 )
+
+
+DEEP = "complement(" * 65 + "pow2" + ")" * 65
+
+# message and position of each rejected spec
+REJECTS = {
+    "": ("empty set-spec (at position 0)", 0),
+    "foo": ("expected a set expression (at position 0)", 0),
+    "finite:5,3": ("finite set elements must be non-negative and strictly increasing", None),
+    "finite:2,2": ("finite set elements must be non-negative and strictly increasing", None),
+    "periodic:10;": ("period must be nonempty (at position 12)", 12),
+    "periodic:12;1": ("expected ';' (at position 10)", 10),
+    "complement(finite:2,5": ("expected ')' (at position 21)", 21),
+    "complement finite:2": ("expected a set expression (at position 0)", 0),
+    "shift(5,pow2)": ("shift offset 5 exceeds the inner set minimum 2", None),
+    "shift(1,empty)": ("cannot shift an empty set (at position 0)", 0),
+    "shift(,pow2)": ("expected a number (at position 6)", 6),
+    "pow2junk": ("unexpected 'j' (at position 4)", 4),
+    "finite:3,": ("unexpected ',' (at position 8)", 8),
+    # \d takes exactly the digits int() reads; "²" passes str.isdigit only
+    "finite:²": ("unexpected '²' (at position 7)", 7),
+    "shift(²,pow2)": ("expected a number (at position 6)", 6),
+    # the 65th prefix starts after 64 "complement(" prefixes of 11 characters
+    DEEP: ("set-spec nested deeper than 64 levels (at position 704)", 704),
+}
 
 
 def unrolled_bit(pre: str, per: str, n: int) -> bool:
@@ -137,27 +164,20 @@ class TestParse:
         assert parse_set_spec("nat") == complement(FiniteSet())
         assert parse_set_spec("empty") == FiniteSet()
 
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            "",
-            "foo",
-            "finite:5,3",
-            "finite:2,2",
-            "periodic:10;",
-            "periodic:12;1",
-            "complement(finite:2,5",
-            "complement finite:2",
-            "shift(5,pow2)",
-            "shift(1,empty)",
-            "shift(,pow2)",
-            "pow2junk",
-            "finite:3,",
-        ],
-    )
+    @pytest.mark.parametrize("bad", REJECTS, ids=lambda s: "complement-65-deep" if s == DEEP else s)
     def test_rejects(self, bad):
-        with pytest.raises(SetSpecError):
+        with pytest.raises(SetSpecError) as err:
             parse_set_spec(bad)
+        assert (str(err.value), err.value.position) == REJECTS[bad]
+
+    @pytest.mark.parametrize("prefix", ["complement(", "shift(0,"])
+    def test_nesting_cap_is_inclusive(self, prefix):
+        # 64 prefixes still parse, and both wrappers collapse to the atom
+        spec = prefix * MAX_NESTING + "pow2" + ")" * MAX_NESTING
+        assert parse_set_spec(spec) == PowersOfTwo()
+        with pytest.raises(SetSpecError) as err:
+            parse_set_spec(prefix + spec + ")")
+        assert err.value.position == MAX_NESTING * len(prefix)
 
     def test_error_carries_position(self):
         with pytest.raises(SetSpecError) as err:
@@ -238,6 +258,19 @@ class TestShift:
         inner = parse_set_spec("finite:4,9")
         assert shift_down(shift_down(inner, 1), 2) == Shifted(inner, 3)
 
+    def test_membership_reads_only_the_window(self, monkeypatch):
+        calls = []
+        real = FiniteSet.membership_bytes
+
+        def spy(self, max_n, start=0):
+            calls.append((max_n, start))
+            return real(self, max_n, start)
+
+        monkeypatch.setattr(FiniteSet, "membership_bytes", spy)
+        a = parse_set_spec("shift(10000000,finite:10000000,10000003)")
+        assert a.membership_bytes(5) == bytes([1, 0, 0, 1, 0, 0])
+        assert calls == [(10000005, 10000000)]
+
 
 class TestMinElement:
     def test_examples(self):
@@ -277,3 +310,23 @@ class TestMinElement:
         assert min_element(a) == 10**9 - 1
         misses = complement_prefix(parse_set_spec("complement(finite:2,1000000001)"), 3)
         assert misses == (2, 10**9 + 1)
+
+
+class TestDeepDescriptor:
+    def test_every_method_returns_at_the_cap(self):
+        # alternating shifts and complements collapse neither way, so each
+        # prefix is one more level that every method recurses through
+        a = PowersOfTwo()
+        for level in range(MAX_NESTING):
+            a = complement(a) if level % 2 else shift_down(a, min_element(a))
+        assert parse_set_spec(a.spec()) == a
+        assert a.spec().count("(") == MAX_NESTING
+        bts = a.membership_bytes(200)
+        assert list(bts) == [int(a.contains(n)) for n in range(201)]
+        assert a.count(200) == sum(bts)
+        assert a.members(200) == [n for n in range(201) if bts[n]]
+        wide = a.membership_bytes(1 << 17)
+        assert a.next_value(0) == wide.index(1) == 65535
+        assert a.next_value(0, member=False) == wide.index(0)
+        assert eventual_form(a) is None
+        assert hash(a) == hash(parse_set_spec(a.spec()))

@@ -18,7 +18,6 @@ from repfn.witnesses import (
     first_r2_decrease_bruteforce,
     predict_r2_decrease,
     refute_strict_increase,
-    remove_first_powers,
     violation_bound,
 )
 
@@ -38,16 +37,6 @@ class TestConstructions:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             almost_monotone_set(3)
-
-    def test_remove_first_powers(self):
-        assert remove_first_powers(1) == parse_set_spec("complement(finite:2)")
-        assert remove_first_powers(3) == parse_set_spec("complement(finite:2,4,8)")
-
-    @pytest.mark.parametrize("j", [1, 2, 4])
-    def test_remove_first_powers_agrees_on_prefix(self, j):
-        a, b = remove_first_powers(j), almost_monotone_set(2)
-        top = 2**j
-        assert a.membership_bytes(top) == b.membership_bytes(top)
 
 
 class TestViolationCountBound:
@@ -306,7 +295,8 @@ class TestPartialFamilyBlocks:
     def test_block_value_with_fewer_powers_removed(self, j):
         # with only the first j-1 powers removed, the whole block (2^j, 2^{j+1}]
         # sits above every pair sum of the removed values
-        a = remove_first_powers(j - 1)
+        removed = ",".join(str(2**i) for i in range(1, j))
+        a = parse_set_spec(f"complement(finite:{removed})")
         t = batch_table(a, 2 ** (j + 1))
         for n in range(2**j + 1, 2 ** (j + 1) + 1):
             assert int(t.r1[n]) == n + 1 - 2 * (j - 1)
