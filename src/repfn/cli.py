@@ -4,6 +4,14 @@ Exit codes: 0 success or verified, 1 a verification found a violated
 assertion (or a witness could not be certified), 2 usage or set-spec
 error, 3 resource budget exceeded.  Reports go to stdout as exactly one
 CSV or JSON document; diagnostics go to stderr.
+
+`main` reads a plain command line, `<command> (--option value | --flag)*`
+with exact option strings, values that do not start with "-" and every
+required option given, straight from the actions of `build_parser()`.
+Everything else (help, `--option=value`, abbreviations, "--", values
+starting with "-", unknown tokens, bad values, missing options, `verify`
+with its positional suite) goes to argparse, which gives the same
+namespace, help text, messages and exit codes as before.
 """
 
 from __future__ import annotations
@@ -187,13 +195,84 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _plain_commands() -> dict[str, tuple[dict, dict, list]]:
+    """Per command whose options are all exact-string `store` (one value)
+    or `store_true` actions: its option strings, the namespace defaults
+    argparse starts from, and its required actions.  Read from
+    `build_parser()`, so that it stays the one grammar."""
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits with 2 on usage errors and 0 for --help
-        return int(exc.code or 0)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    others = [a for a in parser._actions if a is not sub and not isinstance(a, argparse._HelpAction)]
+    if others or parser._defaults:  # top-level options would add defaults of their own
+        return {}
+    commands = {}
+    for name, sp in sub.choices.items():
+        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
+        if sp._mutually_exclusive_groups or not all(map(_is_plain, actions)):
+            continue
+        defaults = {sub.dest: name, **sp._defaults, **{a.dest: a.default for a in actions}}
+        options = {s: a for a in actions for s in a.option_strings}
+        commands[name] = (options, defaults, [a for a in actions if a.required])
+    return commands
+
+
+def _is_plain(a: argparse.Action) -> bool:
+    """A `store_true` option, or a `store` option of one value whose default
+    argparse keeps as it is (it passes a string default through `type`)."""
+    if a.default is argparse.SUPPRESS or not a.option_strings:
+        return False
+    if type(a) is argparse._StoreTrueAction:
+        return True
+    return (
+        type(a) is argparse._StoreAction
+        and a.nargs is None
+        and not (isinstance(a.default, str) and a.type is not None)
+    )
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """`build_parser().parse_args(argv)` for a plain command line (see the
+    module docstring), or None where argparse must decide."""
+    grammar = _plain_commands().get(argv[0]) if argv else None
+    if grammar is None:
+        return None
+    options, defaults, required = grammar
+    values = dict(defaults)
+    seen = set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = options.get(token)
+        if action is None:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, "-")  # a missing value declines like a "-" one
+        if value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not all(a in seen for a in required):
+        return None
+    return argparse.Namespace(**values)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _read_plain(sys.argv[1:] if argv is None else list(argv))
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse exits with 2 on usage errors and 0 for --help
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except SetSpecError as exc:

@@ -17,7 +17,7 @@ The textual mini-language (`parse_set_spec`) is:
             | "periodic:" bits ";" bits
     ints   := "" | uint ("," uint)*          strictly increasing
     bits   := ("0"|"1")*                     period part must be nonempty
-    uint   := decimal digits
+    uint   := decimal digits                 at most sys.get_int_max_str_digits()
 
 At most MAX_NESTING (64) prefixes wrap the atom, so no method of a parsed
 descriptor recurses deeper than that.  Whitespace is not significant.
@@ -28,6 +28,7 @@ the unrolled preperiod+period sequence gives membership of the integer k.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import compress
@@ -373,7 +374,7 @@ def parse_set_spec(text: str) -> IntegerSet:
         m = _UINT.match(s, i + 6)
         if m is None:
             raise SetSpecError("expected a number", position=i + 6)
-        prefixes.append((i, int(m.group())))
+        prefixes.append((i, _int(m)))
         i = _expect(s, m.end(), ",")
     value, i = _parse_atom(s, i)
     for start, offset in reversed(prefixes):
@@ -398,8 +399,12 @@ def _parse_atom(s: str, i: int) -> tuple[IntegerSet, int]:
     if s.startswith("pow2", i):
         return PowersOfTwo(), i + 4
     if s.startswith("finite:", i):
-        ints = _UINTS.match(s, i + 7).group()
-        return FiniteSet(tuple(map(int, ints.split(","))) if ints else ()), i + 7 + len(ints)
+        j = _UINTS.match(s, i + 7).end()
+        try:
+            values = tuple(map(int, s[i + 7 : j].split(","))) if j > i + 7 else ()
+        except ValueError:  # a number past the interpreter's int-string limit
+            values = tuple(map(_int, _UINT.finditer(s, i + 7, j)))
+        return FiniteSet(values), j
     if s.startswith("periodic:", i):
         pre = _BITS.match(s, i + 9).group()
         j = _expect(s, i + 9 + len(pre), ";")
@@ -408,6 +413,17 @@ def _parse_atom(s: str, i: int) -> tuple[IntegerSet, int]:
             raise SetSpecError("period must be nonempty", position=j)
         return PeriodicSet(pre, per), j + len(per)
     raise SetSpecError("expected a set expression", position=i)
+
+
+def _int(m: re.Match) -> int:
+    """The value of a `\\d+` token; one longer than the interpreter's
+    int-string limit is a spec error at the token's start."""
+    try:
+        return int(m.group())
+    except ValueError:
+        raise SetSpecError(
+            f"number longer than {sys.get_int_max_str_digits()} digits", position=m.start()
+        ) from None
 
 
 def _expect(s: str, i: int, ch: str) -> int:

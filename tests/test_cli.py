@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import re
@@ -7,10 +9,13 @@ import sys
 import time
 import tracemalloc
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from repfn.cli import main
+from repfn import cli
+from repfn.cli import build_parser, main
 from repfn.core import RepKind, batch_table
 from repfn.monotonicity import find_violations
 from repfn.sets import parse_set_spec
@@ -110,6 +115,11 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, "table", "--set", "finite:5,3", "--max", "4")
         assert code == 2
         assert out == "" and "finite" in err
+
+    def test_number_past_the_int_limit_is_a_spec_error(self, capsys):
+        code, out, err = run_cli(capsys, "density", "--set", "finite:" + "1" * 5000, "--max", "10")
+        assert code == 2 and out == ""
+        assert err.startswith("set-spec error: number longer than 4300 digits")
 
     def test_unknown_flag_is_usage_error(self, capsys):
         for argv in (
@@ -380,6 +390,124 @@ class TestParserReuse:
             main(argv)
         capsys.readouterr()
         assert built == []
+
+
+def subparsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def parse_or_exit(parser, argv):
+    """argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv)
+        except SystemExit:
+            return None
+
+
+COMMANDS = subparsers(build_parser())
+OPTIONS = {name: [a for a in sp._actions if not isinstance(a, argparse._HelpAction)] for name, sp in COMMANDS.items()}
+PARSER_TOKENS = sorted(set(COMMANDS) | {s for actions in OPTIONS.values() for a in actions for s in a.option_strings})
+CHOICES = sorted({c for actions in OPTIONS.values() for a in actions for c in a.choices or ()})
+# int() reads "\u0663" (Arabic-Indic three), "1_0" and " 7"
+VALUES = ["", "-5", "\u0663", "1_0", " 7", "5", "0", "pow2", "nat", "finite:2,5", "xml", *CHOICES]
+OTHER_TOKENS = ["-h", "--help", "--", "--ma", "--se", "--fo", "--st", "--max=5", "--set=pow2", "--strict=1", "junk"]
+any_token = st.sampled_from(PARSER_TOKENS + VALUES + OTHER_TOKENS)
+
+
+def good_values(action):
+    if action.choices:
+        return st.sampled_from(action.choices)
+    return st.sampled_from(["5", "0", "1_0", " 7", "\u0663"] if action.type is int else ["pow2", "nat", "", " 7"])
+
+
+@st.composite
+def token_soups(draw):
+    """A command and its options in any order, mostly once each but
+    sometimes missing or repeated, with good values or now and then any
+    token; then a few tokens replaced by or followed by any token:
+    abbreviated and `=` options, help, "--", other commands."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = [name]
+    for action in draw(st.permutations(OPTIONS[name])):
+        for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
+            if action.option_strings:  # else verify's positional suite
+                argv.append(draw(st.sampled_from(action.option_strings)))
+            if action.nargs != 0:
+                argv.append(draw(st.one_of(*[good_values(action)] * 3, any_token)))
+    for i, token, replace in draw(st.lists(st.tuples(st.integers(0, len(argv)), any_token, st.booleans()), max_size=3)):
+        argv[i : i + replace] = [token]
+    return argv
+
+
+class TestPlainReader:
+    """`main` reads plain argv from the parser's own actions; argparse takes the rest."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(token_soups())
+    def test_reader_agrees_with_argparse(self, argv):
+        read = cli._read_plain(argv)
+        if read is not None:
+            assert read == parse_or_exit(build_parser(), argv)
+
+    @pytest.fixture
+    def top_level_parses(self, monkeypatch):
+        """The number of times argparse parses a command line, top level only."""
+        parser = build_parser()
+        count = []
+        parse = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return parse(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        return count
+
+    def test_every_request_command_is_read_without_argparse(self, capsys, tmp_path, top_level_parses):
+        common = ("--budget", "100000000", "--out", str(tmp_path / "out"))
+        argvs = [
+            ("table", "--set", "nat", "--max", "6", "--format", "json", *common),
+            ("violations", "--set", "pow2", "--max", "10", "--kind", "r2", "--strict", "--format", "csv", *common),
+            ("density", "--set", "pow2", "--max", "64", *common),
+            ("witness", "--set", "complement(finite:2,5)", "--max", "20", *common),
+            ("witness", "--set", "complement(finite:2,5)", *common),
+            ("render", "--set", "nat", "--max", "4", "--format", "ascii", *common),
+        ]
+        for argv in argvs:
+            assert main(list(argv)) == 0, argv
+        assert top_level_parses == []
+        # every option of every command but verify is on some line above
+        used = {token for argv in argvs for token in argv}
+        assert used >= {a.option_strings[0] for name, actions in OPTIONS.items() if name != "verify" for a in actions}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--help",),
+            ("table", "--max=5", "--set", "nat"),
+            ("table", "--ma", "5", "--set", "nat"),
+            ("verify", "all"),
+        ],
+    )
+    def test_argparse_parses_what_the_reader_declines(self, capsys, monkeypatch, argv, top_level_parses):
+        monkeypatch.setattr(cli.verify, "run_suites", lambda *args, **kwargs: [])  # parsing is under test
+        main(list(argv))
+        capsys.readouterr()
+        assert top_level_parses == [1]
+
+    @pytest.mark.parametrize("option", [{"action": "append"}, {"nargs": "?"}])
+    def test_a_command_with_another_action_goes_to_argparse(self, monkeypatch, option):
+        toy = build_parser.__wrapped__()
+        subparsers(toy)["table"].add_argument("--extra", **option)
+        monkeypatch.setattr(cli, "build_parser", lambda: toy)
+        cli._plain_commands.cache_clear()
+        try:
+            assert cli._read_plain(["table", "--set", "nat", "--max", "6"]) is None
+            density = ["density", "--set", "pow2", "--max", "64"]
+            assert cli._read_plain(density) == toy.parse_args(density)
+        finally:
+            cli._plain_commands.cache_clear()
 
 
 class TestDataStreamPurity:

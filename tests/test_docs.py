@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import repfn
-from repfn.cli import build_parser
+from repfn.cli import _read_plain, build_parser
 from repfn.core import STRATEGIES
 from repfn.sets import parse_set_spec
 from repfn.verify import SUITE_NAMES
@@ -79,7 +79,10 @@ def test_readme_command_examples_parse():
     examples = re.findall(r"^repfn .*$", _readme_section("Command line"), flags=re.MULTILINE)
     assert examples
     for line in examples:
-        build_parser().parse_args(shlex.split(line)[1:])
+        argv = shlex.split(line)[1:]
+        parsed = build_parser().parse_args(argv)
+        # main reads every plain line itself; verify's positional goes to argparse
+        assert _read_plain(argv) == (None if argv[0] == "verify" else parsed), line
 
 
 def test_readme_library_block_prints_what_it_shows():

@@ -19,6 +19,7 @@ from repfn.sets import (
 
 
 DEEP = "complement(" * 65 + "pow2" + ")" * 65
+LONG = "1" * 5000  # past Python's default int-string limit of 4300 digits
 
 # message and position of each rejected spec
 REJECTS = {
@@ -40,6 +41,15 @@ REJECTS = {
     "shift(²,pow2)": ("expected a number (at position 6)", 6),
     # the 65th prefix starts after 64 "complement(" prefixes of 11 characters
     DEEP: ("set-spec nested deeper than 64 levels (at position 704)", 704),
+    "finite:" + LONG: ("number longer than 4300 digits (at position 7)", 7),
+    "finite:3," + LONG: ("number longer than 4300 digits (at position 9)", 9),
+    f"shift({LONG},pow2)": ("number longer than 4300 digits (at position 6)", 6),
+}
+REJECT_IDS = {
+    DEEP: "complement-65-deep",
+    "finite:" + LONG: "finite-5000-digits",
+    "finite:3," + LONG: "finite-3-then-5000-digits",
+    f"shift({LONG},pow2)": "shift-5000-digits",
 }
 
 
@@ -164,7 +174,7 @@ class TestParse:
         assert parse_set_spec("nat") == complement(FiniteSet())
         assert parse_set_spec("empty") == FiniteSet()
 
-    @pytest.mark.parametrize("bad", REJECTS, ids=lambda s: "complement-65-deep" if s == DEEP else s)
+    @pytest.mark.parametrize("bad", REJECTS, ids=lambda s: REJECT_IDS.get(s, s))
     def test_rejects(self, bad):
         with pytest.raises(SetSpecError) as err:
             parse_set_spec(bad)
