@@ -17,25 +17,21 @@ N = 4096 and by block matrix products above; neither uses a transform.
 The default, `auto`, runs the oracle up to N = 4096.  Above, it answers
 from the set's structure when it can, taking the first route that applies:
 
-1. sparse: at most sqrt(N + 1)/2 members, whose ordered pairs `sparse_r1`
-   counts;
-2. co-sparse: at most sqrt(N + 1)/2 missing values, through
-   `r1_array_via_complement`;
+1. sparse: at most sqrt(N + 1)/2 members, their pairs counted by `sparse_r1`;
+2. co-sparse: at most sqrt(N + 1)/2 missing values (`r1_array_via_complement`);
 3. periodic: a set with preperiod q and period p, read from the
    descriptor by `sets.eventual_form`, and 2q + 3p <= (N + 1)/4, whose r1
    is extrapolated from a naive table of its first 2q + 3p entries
-   (`_r1_periodic` has the proof) after checking that the membership
-   repeats with period p from q on and that the table's last p entries
-   equal the extrapolation;
+   (`_r1_periodic` has the proof and the checks);
 4. otherwise a length-2^k real FFT, certified on every call by an a-priori
    rounding bound, the observed rounding residual and the sum of the counts.
 
 The limits keep each route well below the FFT's cost: at sqrt(N + 1)
-members or missing values the pairs cost about as much as the FFT.
-The pair routes count in integers; the periodic route and the FFT raise
-`SelfCheckError` rather than return a count they cannot certify.  The
-memory estimate for `auto` above N = 4096 still charges the FFT's buffers,
-which bound every route.
+members or missing values the pairs cost about as much as the FFT.  The
+pair routes count in integers; the periodic route and the FFT raise
+`SelfCheckError` rather than return a count they cannot certify.  `_plan`
+alone picks the route, from the descriptor before anything is allocated,
+and the memory budget charges the route it picks.
 
 Tables and violation lists leave as text through one decimal writer.  Below
 `_WRITER_CUTOVER` values it %-formats them in Python; above, numpy writes
@@ -287,25 +283,6 @@ def _r1_fft(mem: np.ndarray) -> np.ndarray:
     return r1[:n].astype(np.int64)
 
 
-def _r1_auto(a: IntegerSet, mem: np.ndarray) -> np.ndarray:
-    # The route order of the module docstring.  A route runs only where its
-    # own work is at most a quarter of the table length: m^2 member or miss
-    # pairs, or a naive prefix of 2q + 3p entries.
-    n = len(mem)
-    members = a.count(n - 1)
-    if 4 * members * members <= n:
-        r1 = np.zeros(n, dtype=np.int64)
-        pairs = sparse_r1(a, n - 1)
-        r1[list(pairs)] = list(pairs.values())
-        return r1
-    if 4 * (n - members) ** 2 <= n:
-        return r1_array_via_complement(a, n - 1)
-    form = eventual_form(a)
-    if form is not None and 4 * (2 * form[0] + 3 * form[1]) <= n:
-        return _r1_periodic(mem, *form)
-    return _r1_fft(mem)
-
-
 def _r1_periodic(mem: np.ndarray, q: int, p: int) -> np.ndarray:
     """r1 of a set with preperiod q and period p, from a naive table of its
     first 2q + 3p entries.
@@ -345,20 +322,39 @@ def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
     return RepTable(spec, len(r1) - 1, r1, r2, r3)
 
 
-def _runs_fft(max_n: int, strategy: str) -> bool:
-    return strategy == "auto" and max_n > FFT_CUTOVER
-
-
-def _estimate_bytes(max_n: int, strategy: str = "auto") -> int:
-    # fixed overhead, membership, float copies and convolution output, three
-    # count arrays, and, only when the fft kernel runs, its padded spectrum
-    # and inverse transform (8 bytes per entry of the 2^k transform length
-    # each), which live at the same time
+def _estimate_bytes(max_n: int, route: str | None = None) -> int:
+    """Bytes a table up to max_n is charged on `route`, or with no route the
+    most that any route open at that size is charged.  Past a fixed overhead
+    that is 48 per entry on a structural route (33-38 traced: membership, r1
+    and its temporaries, the three count arrays), 64 on naive (its float
+    copies and convolution output too), and on the fft 16 more per entry of
+    its 2^k transform length (padded spectrum and inverse transform)."""
     n = max_n + 1
-    need = _FIXED_BYTES + 64 * n
-    if _runs_fft(max_n, strategy):
-        need += 16 * (1 << (2 * n - 1).bit_length())
-    return need
+    if route is None:
+        route = "fft" if max_n > FFT_CUTOVER else "naive"
+    if route in ("sparse", "co-sparse", "periodic"):
+        return _FIXED_BYTES + 48 * n
+    return _FIXED_BYTES + 64 * n + (16 << (2 * n - 1).bit_length() if route == "fft" else 0)
+
+
+def _plan(a: IntegerSet, max_n: int, strategy: str) -> tuple[str, tuple[int, int] | None, int]:
+    """The route of the module docstring that a table up to max_n takes, read
+    from the descriptor alone, with the periodic route's (q, p) and the
+    route's byte charge.  A structural route runs only where its own work is
+    at most a quarter of the table length: m^2 member or miss pairs, or a
+    naive prefix of 2q + 3p entries."""
+    n, route, form = max_n + 1, "naive", None
+    if strategy == "auto" and max_n > FFT_CUTOVER:
+        members, form = a.count(max_n), eventual_form(a)
+        if 4 * members * members <= n:
+            route = "sparse"
+        elif 4 * (n - members) ** 2 <= n:
+            route = "co-sparse"
+        elif form is not None and 4 * (2 * form[0] + 3 * form[1]) <= n:
+            route = "periodic"
+        else:
+            route = "fft"
+    return route, form, _estimate_bytes(max_n, route)
 
 
 def batch_table(
@@ -370,29 +366,32 @@ def batch_table(
 ) -> RepTable:
     """Compute all three functions on [0, max_n].
 
-    Both strategies produce identical tables by contract.  "auto" (the
-    default) uses the naive kernel up to N = 4096; above, it answers from
-    the set's members, its missing values or its period where one of them
-    is short (`_r1_auto`), else from the FFT kernel.  The periodic route
-    and the FFT are certified and raise SelfCheckError rather than return
-    a count they cannot certify.  "naive" is the oracle at any N: a direct pair sum,
-    done by np.convolve up to N = 4096 and by block matrix products above,
-    with no transform in either.  The memory estimate checked against
-    `memory_budget` follows the strategy; above N = 4096 "auto" is charged
-    the FFT's buffers whichever route runs.  r2 and r3 are derived from r1
-    and the diagonal indicator, which keeps a single source of truth for
-    the counts.
+    Both strategies produce identical tables by contract.  "naive" is the
+    oracle at any N, a direct pair sum with no transform.  "auto" (the
+    default) runs the route `_plan` reads from the descriptor, and the
+    budget is checked against that route's charge before anything is
+    allocated.  r2 and r3 are derived from r1 and the diagonal indicator,
+    which keeps a single source of truth for the counts.
     """
     _check_n(max_n)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    need = _estimate_bytes(max_n, strategy)
+    route, form, need = _plan(a, max_n, strategy)
     if need > memory_budget:
-        raise BudgetExceededError(
-            f"a table up to {max_n} needs about {need} bytes", budget=memory_budget
-        )
+        raise BudgetExceededError(f"a table up to {max_n} needs about {need} bytes", budget=memory_budget)
     mem = membership_array(a, max_n)
-    r1 = _r1_auto(a, mem) if _runs_fft(max_n, strategy) else _r1_naive(mem)
+    if route == "naive":
+        r1 = _r1_naive(mem)
+    elif route == "sparse":
+        r1 = np.zeros(max_n + 1, dtype=np.int64)
+        for n, pairs in sparse_r1(a, max_n).items():
+            r1[n] = pairs
+    elif route == "co-sparse":
+        r1 = r1_array_via_complement(a, max_n)
+    elif route == "periodic":
+        r1 = _r1_periodic(mem, *form)
+    else:
+        r1 = _r1_fft(mem)
     return _derive_table(a.spec(), r1, _diagonal(mem))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repfn import cli
+from repfn import cli, core
 from repfn.cli import build_parser, main
 from repfn.core import RepKind, batch_table
 from repfn.monotonicity import find_violations
@@ -149,6 +149,19 @@ class TestExitCodes:
         )
         assert code == 3 and out == ""
 
+    @pytest.mark.parametrize("op", ["table", "violations"])
+    def test_budget_charges_the_structural_route(self, capsys, op):
+        # the co-sparse route is charged for its own work, not for the FFT's buffers
+        argv = (op, "--set", "complement(pow2)", "--max", "131072")
+        charge = core._plan(parse_set_spec("complement(pow2)"), 131072, "auto")[2]
+        assert charge < 8_000_000 < core._estimate_bytes(131072, "fft")
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0 and expected.count("\n") == (131074 if op == "table" else 1)
+        for budget in (charge, 8_000_000):
+            assert run_cli(capsys, *argv, "--budget", str(budget)) == (0, expected, "")
+        code, out, err = run_cli(capsys, *argv, "--budget", str(charge - 1))
+        assert code == 3 and out == "" and str(charge - 1) in err
+
     def test_insufficient_complement_not_certified(self, capsys):
         code, out, err = run_cli(capsys, "witness", "--set", "nat")
         assert code == 1
@@ -161,8 +174,9 @@ class TestExitCodes:
             ("witness", "--set", "complement(pow2)", "--max", "16777216"),
             ("render", "--set", "nat", "--max", "4194304", "--format", "svg"),
             ("render", "--set", "nat", "--max", "4194304", "--format", "ascii"),
+            ("table", "--set", "complement(pow2)", "--max", "131072"),
         ],
-        ids=["witness-nat", "witness-complement-pow2", "render-svg", "render-ascii"],
+        ids=["witness-nat", "witness-complement-pow2", "render-svg", "render-ascii", "table-complement-pow2"],
     )
     def test_budget_checked_before_allocating(self, capsys, argv):
         tracemalloc.start()

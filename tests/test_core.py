@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -23,7 +24,7 @@ from repfn.core import (
 )
 from repfn.errors import BudgetExceededError, SelfCheckError
 from repfn.pool import mixed_pool, periodic_pool
-from repfn.sets import FiniteSet, PowersOfTwo, min_element, parse_set_spec, shift_down
+from repfn.sets import FiniteSet, PowersOfTwo, complement, min_element, parse_set_spec, shift_down
 from repfn.verify import _half_range_counts, _r1_word_parallel
 
 
@@ -225,7 +226,7 @@ class TestFftKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        estimate = core._estimate_bytes(max_n, strategy)
+        estimate = core._plan(a, max_n, strategy)[2]
         assert estimate >= peak
         naive_runs = strategy == "naive" or max_n <= core.FFT_CUTOVER
         if naive_runs and max_n >= 100:
@@ -241,19 +242,38 @@ class TestFftKernel:
         monkeypatch.setattr(core, "_r1_fft", refuse)
         cut = core.FFT_CUTOVER
         a = unstructured_set(cut + 1)
+        naive = core._estimate_bytes(cut + 1, "naive")
+        # the padded spectrum and inverse transform: 16 bytes per entry of 2^k >= 2N + 1
+        fft_term = 16 * (1 << (2 * cut + 3).bit_length())
+        assert core._plan(a, cut, "auto") == ("naive", None, core._estimate_bytes(cut, "naive"))
+        assert core._plan(a, cut + 1, "naive") == ("naive", None, naive)
+        assert core._plan(a, cut + 1, "auto")[::2] == ("fft", naive + fft_term)
         batch_table(a, cut)
         batch_table(a, cut + 1, "naive")
         with pytest.raises(FftCalled):
             batch_table(a, cut + 1)
-        # the padded spectrum and inverse transform: 16 bytes per entry of 2^k >= 2N + 1
-        fft_term = 16 * (1 << (2 * cut + 3).bit_length())
-        assert core._estimate_bytes(cut) == core._estimate_bytes(cut, "naive")
-        assert core._estimate_bytes(cut + 1) == core._estimate_bytes(cut + 1, "naive") + fft_term
+
+
+def limit_set(route, max_n, seed=7):
+    """A set at the limit of a structural route of `auto` at max_n:
+    floor(sqrt(N + 1)/2) random members or missing values, or a preperiod q
+    and period p with 4 (2q + 3p) as close to N + 1 as it may be."""
+    rng = np.random.default_rng(seed)
+    if route == "periodic":
+        q = (max_n + 1) // 32
+        p = ((max_n + 1) // 4 - 2 * q) // 3
+        bits = "".join(map(str, rng.integers(0, 2, q + p).tolist()))
+        return parse_set_spec(f"periodic:{bits[:q]};{bits[q:]}")
+    m = math.isqrt(max_n + 1) // 2
+    a = FiniteSet(tuple(sorted(rng.choice(max_n + 1, m, replace=False).tolist())))
+    return a if route == "sparse" else complement(a)
 
 
 class TestAutoRoutes:
     """`auto` above FFT_CUTOVER answers from the set's structure where it can."""
 
+    # each spec with the function its route runs, which names the test ids
+    ROUTE_OF = {"sparse_r1": "sparse", "r1_array_via_complement": "co-sparse", "_r1_periodic": "periodic"}
     ROUTED = [
         ("pow2", "sparse_r1"),
         ("shift(1,pow2)", "sparse_r1"),
@@ -264,41 +284,25 @@ class TestAutoRoutes:
         ("shift(3,periodic:0001;011)", "_r1_periodic"),
     ]
 
-    @staticmethod
-    def _record_routes(monkeypatch):
-        # the co-sparse route reaches sparse_r1 too, so the route is the first call
-        calls = []
-
-        def refuse(mem):
-            raise AssertionError("the FFT ran")
-
-        def spy(name, real):
-            def call(*args):
-                calls.append(name)
-                return real(*args)
-
-            return call
-
-        monkeypatch.setattr(core, "_r1_fft", refuse)
-        for name in ("sparse_r1", "r1_array_via_complement", "_r1_periodic"):
-            monkeypatch.setattr(core, name, spy(name, getattr(core, name)))
-        return calls
-
     @pytest.mark.parametrize("max_n", [4097, 9001, 2**15])
     @pytest.mark.parametrize("spec, route", ROUTED)
-    def test_route_equals_naive(self, monkeypatch, spec, route, max_n):
+    def test_route_equals_naive(self, spec, route, max_n):
         a = parse_set_spec(spec)
+        assert core._plan(a, max_n, "auto")[0] == self.ROUTE_OF[route]
         want = batch_table(a, max_n, "naive")
-        calls = self._record_routes(monkeypatch)
         got = batch_table(a, max_n)
-        assert calls[:1] == [route]
         for kind in RepKind:
             assert np.array_equal(got.values(kind), want.values(kind))
 
     def test_naive_takes_no_route(self, monkeypatch):
-        calls = self._record_routes(monkeypatch)
-        batch_table(parse_set_spec("pow2"), 9001, "naive")
-        assert calls == []
+        # a small table and the naive strategy plan without reading the descriptor
+        def refuse(self, max_n):
+            raise AssertionError("the plan counted the members")
+
+        monkeypatch.setattr(PowersOfTwo, "count", refuse)
+        a = parse_set_spec("pow2")
+        for max_n, strategy in ((0, "auto"), (core.FFT_CUTOVER, "auto"), (9001, "naive"), (2**20, "naive")):
+            assert core._plan(a, max_n, strategy) == ("naive", None, core._estimate_bytes(max_n, "naive"))
 
     def test_periodic_route_checks_its_prefix(self, monkeypatch):
         real = core._r1_naive
@@ -328,35 +332,49 @@ class TestAutoRoutes:
             f"shift(3,finite:{FAR_MEMBERS})",
         ],
     )
-    def test_far_element_costs_nothing_up_to_it(self, monkeypatch, spec):
+    def test_far_element_costs_nothing_up_to_it(self, spec):
         # 40 members up to N: no pair route; a preperiod past 10^12: no periodic route
         a, max_n = parse_set_spec(spec), 5000
+        route, _, charge = core._plan(a, max_n, "auto")
+        assert route == "fft"
         want = batch_table(a, max_n, "naive")
-        fft = core._r1_fft
-        calls = self._record_routes(monkeypatch)
-        monkeypatch.setattr(core, "_r1_fft", lambda mem: calls.append("_r1_fft") or fft(mem))
         tracemalloc.start()
         try:
             got = batch_table(a, max_n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert calls == ["_r1_fft"]
-        assert peak <= core._estimate_bytes(max_n)
+        assert peak <= charge
         for kind in RepKind:
             assert np.array_equal(got.values(kind), want.values(kind))
 
-    @pytest.mark.parametrize("spec", [spec for spec, _ in ROUTED[::2]] + ["unstructured"])
+    @pytest.mark.parametrize(
+        "spec",
+        [spec for spec, _ in ROUTED[::2]] + ["unstructured", "sparse-limit", "co-sparse-limit", "periodic-limit"],
+    )
     def test_route_peak_within_estimate(self, spec):
-        max_n = 2**17
-        a = unstructured_set(max_n) if spec == "unstructured" else parse_set_spec(spec)
-        tracemalloc.start()
-        try:
-            batch_table(a, max_n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= core._estimate_bytes(max_n)
+        # a structural route is charged between one and two times its peak
+        route_of = {s: self.ROUTE_OF[fn] for s, fn in self.ROUTED} | {"unstructured": "fft"}
+        limit = spec.endswith("-limit")
+        want = spec.removesuffix("-limit") if limit else route_of[spec]
+        for max_n in (4097, 2**15, 2**17):
+            if limit:
+                a = limit_set(want, max_n)
+            elif spec == "unstructured":
+                a = unstructured_set(max_n)
+            else:
+                a = parse_set_spec(spec)
+            route, _, charge = core._plan(a, max_n, "auto")
+            assert route == want
+            tracemalloc.start()
+            try:
+                batch_table(a, max_n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= charge
+            if route != "fft":
+                assert charge <= 2 * peak, (route, max_n)
 
 
 class TestSubsetMonotonicity:

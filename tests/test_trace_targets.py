@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from repfn import cli
+from repfn import cli, core
 from repfn.core import RepTable, batch_table
+from repfn.sets import parse_set_spec
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_spans.py"
 
@@ -29,6 +30,16 @@ def test_trace_target_resolves(name, modname, attr):
     for part in attr.split("."):
         holder = getattr(holder, part, None)
     assert callable(holder), name
+
+
+@pytest.mark.parametrize("max_n", [0, 512, 4096, 4097, 2**15, 2**17])
+def test_one_argument_estimate_bounds_every_route(max_n):
+    # the memory probe charges a recorded table estimate(max_n), not knowing its route
+    open_routes = ["naive"] + (["sparse", "co-sparse", "periodic", "fft"] if max_n > core.FFT_CUTOVER else [])
+    assert core._estimate_bytes(max_n) == max(core._estimate_bytes(max_n, r) for r in open_routes)
+    for spec in ("pow2", "complement(pow2)", "periodic:01;0110100", "finite:1,2,4,7"):
+        for strategy in ("naive", "auto"):
+            assert core._plan(parse_set_spec(spec), max_n, strategy)[2] <= core._estimate_bytes(max_n)
 
 
 def test_batch_table_takes_strategy_third():
