@@ -12,6 +12,12 @@ Everything else (help, `--option=value`, abbreviations, "--", values
 starting with "-", unknown tokens, bad values, missing options, `verify`
 with its positional suite) goes to argparse, which gives the same
 namespace, help text, messages and exit codes as before.
+
+Importing this module runs no library module but `constants` and
+`errors`, which hold what the parser and the exit codes need.  The others
+are the package's lazy modules: each runs the first time a command reads
+one of its attributes, once per process.  So `density`, `render`, help and
+usage or set-spec errors never import numpy.
 """
 
 from __future__ import annotations
@@ -21,11 +27,8 @@ import functools
 import json
 import sys
 
-import numpy as np
-
-from . import verify
-from .core import DEFAULT_MEMORY_BUDGET, RepKind, _decimal_rows, batch_table
-from .diagram import render_diagram
+from . import core, diagram, monotonicity, sets, verify, witnesses
+from .constants import DEFAULT_MEMORY_BUDGET, DEFAULT_SEED, SUITE_NAMES
 from .errors import (
     BudgetExceededError,
     EmptySetError,
@@ -33,10 +36,6 @@ from .errors import (
     SelfCheckError,
     SetSpecError,
 )
-from .monotonicity import find_violations, natural_density_estimate
-from .pool import DEFAULT_SEED
-from .sets import parse_set_spec
-from .witnesses import first_r2_decrease_bruteforce, predict_r2_decrease
 
 DEFAULT_WITNESS_SCAN = 512
 
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_render)
 
     vf = sub.add_parser("verify", help="run a named verification suite")
-    vf.add_argument("suite", choices=verify.SUITE_NAMES + ("all",))
+    vf.add_argument("suite", choices=SUITE_NAMES + ("all",))
     vf.add_argument("--seed", type=int, default=DEFAULT_SEED)
     vf.add_argument(
         "--self-test-corrupt",
@@ -131,15 +130,15 @@ def _json_document(obj: dict) -> str:
     """`json.dumps(obj) + "\n"` with each array value a list, for a dict
     whose int64 arrays all come after its other values: json.dumps writes
     the other values and the decimal writer each array."""
-    arrays = {k: v for k, v in obj.items() if isinstance(v, np.ndarray)}
+    arrays = {k: v for k, v in obj.items() if isinstance(v, core.np.ndarray)}
     head = json.dumps({k: v for k, v in obj.items() if k not in arrays})
-    tail = "".join(f", {json.dumps(k)}: [{_decimal_rows((v,), end=', ')[:-2]}]" for k, v in arrays.items())
+    tail = "".join(f", {json.dumps(k)}: [{core._decimal_rows((v,), end=', ')[:-2]}]" for k, v in arrays.items())
     return head[:-1] + tail + "}\n"
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    a = parse_set_spec(args.set)
-    table = batch_table(a, args.max, memory_budget=args.budget)
+    a = sets.parse_set_spec(args.set)
+    table = core.batch_table(a, args.max, memory_budget=args.budget)
     if args.format == "csv":
         _emit(args, table.to_csv())
     else:
@@ -148,9 +147,9 @@ def cmd_table(args: argparse.Namespace) -> int:
 
 
 def cmd_violations(args: argparse.Namespace) -> int:
-    a = parse_set_spec(args.set)
-    table = batch_table(a, args.max, memory_budget=args.budget)
-    report = find_violations(table, RepKind(args.kind), args.strict)
+    a = sets.parse_set_spec(args.set)
+    table = core.batch_table(a, args.max, memory_budget=args.budget)
+    report = monotonicity.find_violations(table, core.RepKind(args.kind), args.strict)
     if args.format == "csv":
         _emit(args, report.to_csv())
     else:
@@ -159,18 +158,18 @@ def cmd_violations(args: argparse.Namespace) -> int:
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    a = parse_set_spec(args.set)
-    est = natural_density_estimate(a, args.max)
+    a = sets.parse_set_spec(args.set)
+    est = sets.natural_density_estimate(a, args.max)
     obj = {"set": a.spec(), **est.to_json_obj()}
     _emit(args, json.dumps(obj) + "\n")
     return 0
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    a = parse_set_spec(args.set)
+    a = sets.parse_set_spec(args.set)
     # the brute-force table checks the budget before anything is allocated
-    first = first_r2_decrease_bruteforce(a, args.max, memory_budget=args.budget)
-    obj = predict_r2_decrease(a, memory_budget=args.budget).to_json_obj()
+    first = witnesses.first_r2_decrease_bruteforce(a, args.max, memory_budget=args.budget)
+    obj = witnesses.predict_r2_decrease(a, memory_budget=args.budget).to_json_obj()
     obj["scan_bound"] = args.max
     obj["brute_force_first"] = first
     _emit(args, json.dumps(obj) + "\n")
@@ -178,8 +177,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    a = parse_set_spec(args.set)
-    _emit(args, render_diagram(a, args.max, args.format, budget=args.budget))
+    a = sets.parse_set_spec(args.set)
+    _emit(args, diagram.render_diagram(a, args.max, args.format, budget=args.budget))
     return 0
 
 

@@ -50,6 +50,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .constants import DEFAULT_MEMORY_BUDGET
 from .errors import BudgetExceededError, SelfCheckError
 from .sets import IntegerSet, complement, eventual_form
 
@@ -71,7 +72,6 @@ __all__ = [
     "STRATEGIES",
 ]
 
-DEFAULT_MEMORY_BUDGET = 1 << 30  # bytes of working memory batch_table may use
 STRATEGIES = ("naive", "auto")
 FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
 _BLOCK = 128  # block size of the naive kernel's matrix products above FFT_CUTOVER
@@ -130,11 +130,17 @@ def closed_form(kind: RepKind, n: int) -> int:
 class RepTable:
     """The three count arrays over [0, max_n] for one set."""
 
-    set_spec: str
+    integer_set: IntegerSet
     max_n: int
     r1: np.ndarray
     r2: np.ndarray
     r3: np.ndarray
+
+    @property
+    def set_spec(self) -> str:
+        """The set's spec, rendered when read: a long `finite:` list costs
+        about as much to render as the table does to compute."""
+        return self.integer_set.spec()
 
     def values(self, kind: RepKind) -> np.ndarray:
         return getattr(self, RepKind(kind).value)
@@ -313,13 +319,13 @@ def _r1_periodic(mem: np.ndarray, q: int, p: int) -> np.ndarray:
     return r1
 
 
-def _derive_table(spec: str, r1: np.ndarray, d: np.ndarray) -> RepTable:
+def _derive_table(a: IntegerSet, r1: np.ndarray, d: np.ndarray) -> RepTable:
     # r1 = 2*r3 + d and r2 = r3 + d, where d is the diagonal indicator
     r2 = (r1 + d) >> 1
     r3 = r2 - d
     for arr in (r1, r2, r3):
         arr.setflags(write=False)
-    return RepTable(spec, len(r1) - 1, r1, r2, r3)
+    return RepTable(a, len(r1) - 1, r1, r2, r3)
 
 
 def _estimate_bytes(max_n: int, route: str | None = None) -> int:
@@ -392,7 +398,7 @@ def batch_table(
         r1 = _r1_periodic(mem, *form)
     else:
         r1 = _r1_fft(mem)
-    return _derive_table(a.spec(), r1, _diagonal(mem))
+    return _derive_table(a, r1, _diagonal(mem))
 
 
 def sparse_r1(a: IntegerSet, max_n: int) -> dict[int, int]:
@@ -430,4 +436,4 @@ def r1_array_via_complement(a: IntegerSet, max_n: int) -> np.ndarray:
 def table_from_r1(a: IntegerSet, r1: Iterable[int]) -> RepTable:
     """Build a full table from a precomputed r1 array, deriving r2 and r3."""
     r1 = np.array(r1, dtype=np.int64)
-    return _derive_table(a.spec(), r1, diagonal_indicator(a, len(r1) - 1))
+    return _derive_table(a, r1, diagonal_indicator(a, len(r1) - 1))

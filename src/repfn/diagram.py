@@ -9,9 +9,8 @@ The x axis points right and the y axis points up, origin at bottom left.
 from __future__ import annotations
 
 from bisect import bisect_right
-from xml.etree import ElementTree
 
-from .core import DEFAULT_MEMORY_BUDGET
+from .constants import DEFAULT_MEMORY_BUDGET
 from .errors import BudgetExceededError
 from .sets import IntegerSet
 
@@ -114,6 +113,8 @@ def _render_svg(points: list[tuple[int, int]], max_sum: int) -> str:
 
 def svg_column_counts(svg_text: str, max_sum: int) -> list[int]:
     """Recover per-column point counts from a rendered SVG document."""
+    from xml.etree import ElementTree  # only the diagram suite parses SVG
+
     root = ElementTree.fromstring(svg_text)
     counts = [0] * (max_sum + 1)
     for el in root:

@@ -1,5 +1,14 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "RepfnError",
+    "SetSpecError",
+    "EmptySetError",
+    "InsufficientComplementError",
+    "BudgetExceededError",
+    "SelfCheckError",
+]
+
 
 class RepfnError(Exception):
     """Base class for all errors raised by this package."""

@@ -1,4 +1,5 @@
-"""Monotonicity reports and density counts."""
+"""Monotonicity reports.  The density counts live in `sets`, which imports
+no numpy, and are re-exported here."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import RepKind, RepTable, _decimal_rows
-from .sets import IntegerSet
+from .sets import DensityEstimate, IntegerSet, natural_density_estimate
 
 __all__ = [
     "ViolationReport",
@@ -27,11 +28,16 @@ class ViolationReport:
     `violations` is a read-only int64 array in increasing order.
     """
 
-    set_spec: str
+    integer_set: IntegerSet
     kind: RepKind
     strict: bool
     max_n: int
     violations: np.ndarray
+
+    @property
+    def set_spec(self) -> str:
+        """The set's spec, rendered when read (see `RepTable.set_spec`)."""
+        return self.integer_set.spec()
 
     @property
     def count(self) -> int:
@@ -67,31 +73,5 @@ def find_violations(table: RepTable, kind: RepKind, strict: bool = False) -> Vio
     bad = (v[1:] <= v[:-1]) if strict else (v[:-1] > v[1:])
     idx = np.flatnonzero(bad).astype(np.int64, copy=False)
     idx.setflags(write=False)
-    return ViolationReport(table.set_spec, kind, strict, table.max_n, idx)
+    return ViolationReport(table.integer_set, kind, strict, table.max_n, idx)
 
-
-@dataclass(frozen=True)
-class DensityEstimate:
-    """Exact membership count over the window [1, max_n]."""
-
-    max_n: int
-    member_count: int
-
-    @property
-    def ratio(self) -> Fraction:
-        return Fraction(self.member_count, self.max_n)
-
-    def to_json_obj(self) -> dict:
-        r = self.ratio
-        return {
-            "max_n": self.max_n,
-            "member_count": self.member_count,
-            "ratio": {"num": r.numerator, "den": r.denominator},
-        }
-
-
-def natural_density_estimate(a: IntegerSet, max_n: int) -> DensityEstimate:
-    """Count members in [1, max_n]; membership of 0 is never counted."""
-    if max_n < 1:
-        raise ValueError("window bound must be positive")
-    return DensityEstimate(max_n, a.count(max_n) - a.contains(0))

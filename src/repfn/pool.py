@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 
+from .constants import DEFAULT_SEED
 from .sets import (
     FiniteSet,
     IntegerSet,
@@ -19,8 +20,6 @@ from .sets import (
     shift_down,
 )
 from .witnesses import decrease_case_resolvable
-
-DEFAULT_SEED = 20260810
 
 
 def random_periodic(rng: random.Random, require_zero_in_period: bool = False) -> PeriodicSet:

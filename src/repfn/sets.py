@@ -7,7 +7,8 @@ next member or missing value from any k (`next_value`), and the member count
 of [0, n] (`count`) are decided in time bounded by the descriptor size, so
 nothing here scans up to a value.  A descriptor without `pow2` is eventually
 periodic, and `eventual_form` gives a preperiod and period from the
-descriptor.
+descriptor.  `natural_density_estimate` reads the exact member count of
+[1, N] from `count`, so a density needs no table.
 
 The textual mini-language (`parse_set_spec`) is:
 
@@ -31,6 +32,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import compress
 
 from .errors import EmptySetError, SetSpecError
@@ -50,6 +52,8 @@ __all__ = [
     "min_element",
     "complement_prefix",
     "eventual_form",
+    "DensityEstimate",
+    "natural_density_estimate",
 ]
 
 
@@ -345,6 +349,33 @@ def eventual_form(a: IntegerSet) -> tuple[int, int] | None:
         return inner
     q, p = inner
     return max(q - a.offset, 0), p
+
+
+@dataclass(frozen=True)
+class DensityEstimate:
+    """Exact membership count over the window [1, max_n]."""
+
+    max_n: int
+    member_count: int
+
+    @property
+    def ratio(self) -> Fraction:
+        return Fraction(self.member_count, self.max_n)
+
+    def to_json_obj(self) -> dict:
+        r = self.ratio
+        return {
+            "max_n": self.max_n,
+            "member_count": self.member_count,
+            "ratio": {"num": r.numerator, "den": r.denominator},
+        }
+
+
+def natural_density_estimate(a: IntegerSet, max_n: int) -> DensityEstimate:
+    """Count members in [1, max_n]; membership of 0 is never counted."""
+    if max_n < 1:
+        raise ValueError("window bound must be positive")
+    return DensityEstimate(max_n, a.count(max_n) - a.contains(0))
 
 
 # --- set-spec parsing ---------------------------------------------------

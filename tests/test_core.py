@@ -23,6 +23,7 @@ from repfn.core import (
     table_from_r1,
 )
 from repfn.errors import BudgetExceededError, SelfCheckError
+from repfn.monotonicity import find_violations
 from repfn.pool import mixed_pool, periodic_pool
 from repfn.sets import FiniteSet, PowersOfTwo, complement, min_element, parse_set_spec, shift_down
 from repfn.verify import _half_range_counts, _r1_word_parallel
@@ -562,6 +563,21 @@ class TestSerialization:
         assert obj["set"] == "pow2"
         assert obj["max_n"] == 5
         assert obj["r1"] == [0, 0, 0, 0, 1, 0]
+
+    @pytest.mark.parametrize("max_n", [100, 9000])
+    def test_spec_rendered_only_when_read(self, monkeypatch, max_n):
+        # rendering a long finite: list costs about as much as the table itself
+        render = FiniteSet.spec
+        calls = []
+        monkeypatch.setattr(FiniteSet, "spec", lambda self: calls.append(self) or render(self))
+        a = FiniteSet(tuple(range(1, max_n, 3)))
+        table = batch_table(a, max_n)
+        report = find_violations(table, RepKind.R1)
+        table.to_csv()
+        report.to_csv()
+        assert calls == []
+        assert table.to_json_obj()["set"] == report.to_json_obj()["set"] == render(a)
+        assert calls == [a, a]
 
 
 WRITER_LENGTHS = (

@@ -1,6 +1,5 @@
 """The public names and the README's commands and examples match the code."""
 
-import ast
 import contextlib
 import importlib
 import io
@@ -12,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import repfn
+from repfn import verify
 from repfn.cli import _read_plain, build_parser
 from repfn.core import STRATEGIES
 from repfn.sets import parse_set_spec
@@ -31,16 +31,25 @@ def test_every_exported_name_resolves(name):
 
 
 def test_every_package_import_resolves():
-    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        module = importlib.import_module(f"repfn.{node.module}")
-        public = getattr(module, "__all__", None)
-        for alias in node.names:
-            assert hasattr(repfn, alias.asname or alias.name)
-            # the package re-exports only what its modules declare public
-            assert public is None or alias.name in public, (node.module, alias.name)
+    # the package resolves its exports lazily, from one name -> module map
+    assert repfn.__all__ == list(repfn._EXPORTS)
+    listed = dir(repfn)
+    for name, modname in repfn._EXPORTS.items():
+        module = importlib.import_module(f"repfn.{modname}")
+        # the package re-exports only what its modules declare public
+        assert name in module.__all__, (modname, name)
+        assert getattr(repfn, name) is getattr(module, name)
+        assert name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        repfn.no_such_name
+
+
+def test_parser_lists_exactly_the_suites():
+    # the parser takes its choices from constants, which imports no numpy
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert tuple(suite.choices) == SUITE_NAMES + ("all",)
+    assert tuple(verify._SUITES) == SUITE_NAMES
 
 
 def _readme_section(title):

@@ -5,6 +5,8 @@ import importlib
 import importlib.util
 import inspect
 import json
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -76,3 +78,71 @@ def test_bulk_outputs_reach_traced_layers(monkeypatch, capsys, argv, reached, ma
     assert cli.main([*argv, "--set", "periodic:01;0110100", "--max", str(max_n)]) == 0
     capsys.readouterr()
     assert {name for name, n in calls.items() if n} == reached
+
+
+# Installs the tracer in a fresh process, after one warm request or straight
+# after `import repfn.cli` (as the benchmark's verify-all worker does), runs
+# each request of the JSON list it is given and prints the span names each
+# one recorded.
+TRACE_REQUESTS = """
+import contextlib, importlib.util, io, json, sys
+from repfn import cli
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[1])
+bench_spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_spans)
+requests = json.loads(sys.argv[3])
+with contextlib.redirect_stdout(io.StringIO()):
+    if sys.argv[2] == "warm":
+        cli.main(["table", "--set", "pow2", "--max", "8"])
+    tracer = bench_spans.Tracer()
+    tracer.install()
+    for i, argv in enumerate(requests):
+        tracer.request_id = i
+        assert cli.main(argv) == 0, argv
+names = [sorted({s[0] for s in tracer.spans if s[4] == i}) for i in range(len(requests))]
+print(json.dumps({"missing": tracer.missing, "names": names}))
+"""
+
+TRACED_REQUESTS = [
+    (
+        ["table", "--set", "pow2", "--max", "64", "--format", "json"],
+        {"sets.parse_set_spec", "core.batch_table", "cli.json_dumps"},
+    ),
+    (
+        ["violations", "--set", "complement(pow2)", "--max", "64"],
+        {"core.batch_table", "monotonicity.find_violations", "cli.json_dumps"},
+    ),
+    (
+        ["density", "--set", "pow2", "--max", "100"],
+        {"monotonicity.natural_density_estimate", "cli.json_dumps"},
+    ),
+    (
+        ["witness", "--set", "complement(finite:1,3,5)"],
+        {"core.batch_table", "witnesses.predict_r2_decrease", "cli.json_dumps"},
+    ),
+    (
+        ["render", "--set", "pow2", "--max", "12"],
+        {"sets.parse_set_spec", "diagram.render_diagram"},
+    ),
+    (
+        ["verify", "diagram"],  # pool is a module that only verify reads
+        {"verify.run_suite", "pool.mixed_pool", "diagram.render_diagram", "core.batch_table"},
+    ),
+]
+
+
+@pytest.mark.parametrize("start", ["warm", "cold"])
+def test_tracer_records_every_layer_of_lazy_modules(start):
+    # the tracer re-binds names only in repfn modules present when it is
+    # installed; the package binds each library module before it has run
+    argvs = [argv for argv, _ in TRACED_REQUESTS]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACE_REQUESTS, str(SPANS), start, json.dumps(argvs)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["missing"] == []
+    for (argv, expected), names in zip(TRACED_REQUESTS, report["names"]):
+        assert {"cli.main"} | expected <= set(names), argv
