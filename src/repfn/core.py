@@ -35,8 +35,12 @@ and the memory budget charges the route it picks.
 
 Tables and violation lists leave as text through one decimal writer.  Below
 `_WRITER_CUTOVER` values it %-formats them in Python; above, numpy writes
-blocks of `_CSV_BLOCK` rows, so its scratch memory stays bounded.  Either
-way the bytes equal those of "%d" formatting and of `json.dumps` on lists.
+blocks of `_CSV_BLOCK` rows, so its scratch memory stays bounded.  A block
+is split into runs of rows whose columns keep their digit counts, and each
+run is written with one copy; a block with more than one change per
+`_MIN_RUN` rows (a sparse set's r1, flipping between 1 and 2 digits) is
+written with one boolean compress instead.  Either way the bytes equal
+those of "%d" formatting and of `json.dumps` on lists.
 """
 
 from __future__ import annotations
@@ -76,7 +80,8 @@ STRATEGIES = ("naive", "auto")
 FFT_CUTOVER = 4096  # auto strategy switches from naive to fft above this N
 _BLOCK = 128  # block size of the naive kernel's matrix products above FFT_CUTOVER
 _FIXED_BYTES = 2048  # array headers and numpy scratch, about 1.8 KB traced at N <= 16
-_CSV_BLOCK = 4096  # rows per block of the decimal writer, which bounds its scratch memory
+_CSV_BLOCK = 16384  # rows per decimal-writer block: bounds its scratch, amortises numpy's per-call cost
+_MIN_RUN = 256  # a writer block with more digit-count changes than rows / _MIN_RUN is compressed, not split
 _WRITER_CUTOVER = 2048  # below this many values the decimal writer %-formats them in Python
 _EPS = 2.0**-53  # unit roundoff of float64
 
@@ -173,13 +178,18 @@ def _decimal_block(cols: list[np.ndarray], end: str) -> str:
     # many digits as its largest value has, then "," or end.  Row j of the
     # buffer is character j of every text row, so each digit plane, taken
     # by repeated floor division by 10, is one contiguous write.  A
-    # keep-mask drops the leading zeros, and one boolean compress of the
-    # transposed buffer leaves the text in row order.
+    # keep-mask drops the leading zeros.  The rows between two changes of
+    # any column's digit count keep the same planes, so each such run
+    # leaves as one transposed copy of its kept planes.  A block with more
+    # than one change per _MIN_RUN rows takes one boolean compress of the
+    # transposed buffer instead, which costs more per row but nothing per run.
     tails = [","] * (len(cols) - 1) + [end]
     tops = [int(c.max()) for c in cols]
     width = sum(len(str(top)) + len(tail) for top, tail in zip(tops, tails))
-    buf = np.empty((width, len(cols[0])), dtype=np.uint8)
+    rows = len(cols[0])
+    buf = np.empty((width, rows), dtype=np.uint8)
     keep = np.ones(buf.shape, dtype=bool)
+    cut = np.zeros(rows, dtype=bool)  # some digit count differs from the previous row's
     pos = 0
     for c, top, tail in zip(cols, tops, tails):
         q = c.astype(np.int32 if top < 2**31 else np.int64)
@@ -190,10 +200,16 @@ def _decimal_block(cols: list[np.ndarray], end: str) -> str:
             div = q // 10
             np.subtract(q, div * 10, out=buf[p], casting="unsafe")
             q = div
+        digits = keep[pos:last].sum(axis=0, dtype=np.uint8)
+        cut[1:] |= digits[1:] != digits[:-1]
         buf[pos : last + 1] += ord("0")
         pos = last + 1 + len(tail)
         buf[last + 1 : pos] = np.frombuffer(tail.encode(), np.uint8)[:, None]
-    return buf.T[keep.T].tobytes().decode("ascii")
+    starts = np.flatnonzero(cut)
+    if len(starts) * _MIN_RUN > rows:
+        return str(buf.T[keep.T], "ascii")
+    edges = [0, *starts.tolist(), rows]
+    return b"".join(buf[keep[:, lo], lo:hi].T.tobytes() for lo, hi in zip(edges, edges[1:])).decode("ascii")
 
 
 def membership_array(a: IntegerSet, max_n: int) -> np.ndarray:

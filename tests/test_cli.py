@@ -89,12 +89,20 @@ def reference_violations_json(report):
     return json.dumps(obj) + "\n"
 
 
-class TestOutputBytes:
-    """stdout of `table` and `violations` against the plain formatters,
-    on both sides of the decimal writer's cutover and block size; `nat`
-    has no r1 violation, so its non-strict lists are empty."""
+# Both sides of the decimal writer's cutover and of its block size, and
+# N = 100003, whose n column gains its sixth digit inside a block.
+OUTPUT_MAX_N = sorted(
+    {0, 1, 511, 4095, 4096, 4097, 9000}
+    | {core._CSV_BLOCK - 1, core._CSV_BLOCK, core._CSV_BLOCK + 1, 2 * core._CSV_BLOCK + 3, 100003}
+)
 
-    @pytest.mark.parametrize("max_n", [0, 1, 511, 4095, 4096, 4097, 9000])
+
+class TestOutputBytes:
+    """stdout of `table` and `violations` against the plain formatters at
+    every N of OUTPUT_MAX_N; `nat` has no r1 violation, so its non-strict
+    lists are empty."""
+
+    @pytest.mark.parametrize("max_n", OUTPUT_MAX_N)
     @pytest.mark.parametrize(
         "spec", ["nat", "pow2", "complement(pow2)", "periodic:01;0110100", "complement(finite:3,7,40)"]
     )

@@ -615,10 +615,83 @@ def first_difference(got, want):
 @example(core._CSV_BLOCK + 1, 1, [0, 10**18], 1)
 def test_decimal_writer_matches_reference_formats(rows, k, values, seed):
     rng = np.random.default_rng(seed)
-    cols = [rng.choice(np.array(values, dtype=np.int64), rows) for _ in range(k)]
+    assert_writer_matches_references([rng.choice(np.array(values, dtype=np.int64), rows) for _ in range(k)])
+
+
+def assert_writer_matches_references(cols):
+    """The writer's rows against `%d` rows, and each column's JSON array
+    against `json.dumps` of its list."""
     lists = [c.tolist() for c in cols]
-    want = "".join(",".join("%d" % v for v in row) + "\n" for row in zip(*lists))
+    values = tuple(np.column_stack(cols).ravel().tolist())
+    want = (",".join(["%d"] * len(cols)) + "\n") * len(lists[0]) % values
     assert first_difference(core._decimal_rows(cols), want) is None
-    obj = {"set": "s", "max_n": rows, **{f"c{j}": c for j, c in enumerate(cols)}}
-    with_lists = {"set": "s", "max_n": rows, **{f"c{j}": v for j, v in enumerate(lists)}}
+    obj = {"set": "s", "max_n": len(lists[0]), **{f"c{j}": c for j, c in enumerate(cols)}}
+    with_lists = {"set": "s", "max_n": len(lists[0]), **{f"c{j}": v for j, v in enumerate(lists)}}
     assert first_difference(_json_document(obj), json.dumps(with_lists) + "\n") is None
+
+
+def layout_cuts(cols, lo, hi):
+    """Rows of [lo, hi) after the first whose digit counts differ, in some
+    column, from those of the row before."""
+    digits = np.array([[len(str(v)) for v in c[lo:hi].tolist()] for c in cols])
+    return int(np.count_nonzero((digits[:, 1:] != digits[:, :-1]).any(axis=0)))
+
+
+def monotone_columns(start, rows):
+    """Four columns over n = start, start + 1, ...: near n = 10^5, n + 1
+    gains a digit one row before n does, 2 * 10^5 - 1 - n loses one in the
+    row where n gains one, and n // 7 keeps its five digits."""
+    n = np.arange(start, start + rows, dtype=np.int64)
+    return [n, n + 1, 2 * 10**5 - 1 - n, n // 7]
+
+
+def flipping_column(rows, run):
+    """9 and 10 alternating in runs of `run` rows: a new layout every run."""
+    return np.where(np.arange(rows) // run % 2 == 1, 10, 9).astype(np.int64)
+
+
+BLOCK = core._CSV_BLOCK
+WRITER_RUN_CASES = {
+    # 10^5 in the middle of the first block, and a 100-row last block
+    "crossing-inside-block": (monotone_columns(10**5 - BLOCK // 2, BLOCK + 100), [(0, 2)]),
+    # n gains and 2 * 10^5 - 1 - n loses a digit at row BLOCK; without n + 1
+    # each block is one run
+    "crossing-at-block-edge": (
+        [c for j, c in enumerate(monotone_columns(10**5 - BLOCK, 2 * BLOCK)) if j != 1],
+        [(0, 0), (BLOCK, 0)],
+    ),
+    "one-run-block": (monotone_columns(10**5, BLOCK), [(0, 0)]),
+    "runs-of-min-run-rows": ([flipping_column(BLOCK, core._MIN_RUN)] * 2, [(0, BLOCK // core._MIN_RUN - 1)]),
+    # runs of 8 rows average far below _MIN_RUN: the compress route
+    "runs-of-8-rows": ([flipping_column(BLOCK + 40, 8), np.arange(BLOCK + 40) + 10**5], [(0, BLOCK // 8 - 1)]),
+    # 10^5 at row 2B + 5 of a 17-row last block
+    "crossing-in-short-last-block": (monotone_columns(10**5 - 2 * BLOCK - 5, 2 * BLOCK + 17), [(2 * BLOCK, 2)]),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_RUN_CASES)
+def test_decimal_writer_runs_match_reference_formats(case):
+    cols, cuts = WRITER_RUN_CASES[case]
+    for lo, want in cuts:  # the layout changes that put the case on its route
+        assert layout_cuts(cols, lo, min(lo + BLOCK, len(cols[0]))) == want
+    assert_writer_matches_references(cols)
+
+
+def test_decimal_writer_scratch_is_bounded_by_its_block():
+    """At the end the writer holds its block texts and their join, twice
+    the text; above that it keeps at most a few blocks of scratch, however
+    many rows it writes."""
+    excess = []
+    for rows in (2**16 + 1, 2**17 + 1):
+        n = np.arange(rows, dtype=np.int64)
+        cols = [n, n + 1, n // 2 + 1, (n + 1) // 2]
+        width = sum(len(str(int(c[-1]))) + 1 for c in cols)
+        tracemalloc.start()
+        try:
+            text = core._decimal_rows(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        excess.append(peak - 2 * len(text))
+        assert excess[-1] <= 4 * core._CSV_BLOCK * width
+    assert excess[1] <= excess[0] + core._CSV_BLOCK * width
