@@ -71,7 +71,7 @@ __all__ = list(_EXPORTS)
 def _lazy_module(name: str):
     """`import repfn.<name>`, except that the module runs when one of its
     attributes is first read."""
-    spec =importlib.util.find_spec(f"{__name__}.{name}")
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
     spec.loader = importlib.util.LazyLoader(spec.loader)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module

@@ -7,11 +7,12 @@ CSV or JSON document; diagnostics go to stderr.
 
 `main` reads a plain command line, `<command> (--option value | --flag)*`
 with exact option strings, values that do not start with "-" and every
-required option given, straight from the actions of `build_parser()`.
+required option given, straight from the declared table `GRAMMAR`.
 Everything else (help, `--option=value`, abbreviations, "--", values
 starting with "-", unknown tokens, bad values, missing options, `verify`
-with its positional suite) goes to argparse, which gives the same
-namespace, help text, messages and exit codes as before.
+with its positional suite) goes to argparse, whose parser `build_parser()`
+builds from the same table, with the same namespace, help text, messages
+and exit codes as before.
 
 Importing this module runs no library module but `constants` and
 `errors`, which hold what the parser and the exit codes need.  The others
@@ -40,84 +41,6 @@ from .errors import (
 DEFAULT_WITNESS_SCAN = 512
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """Built once per process: it costs more than most requests, and
-    `parse_args` leaves it unchanged and returns a fresh namespace."""
-    p = argparse.ArgumentParser(
-        prog="repfn",
-        description="Additive representation functions r1, r2, r3 over decidable integer sets.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("table", help="compute r1, r2, r3 on [0, N]")
-    _add_set(t)
-    t.add_argument("--max", type=int, required=True, metavar="N")
-    t.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(t)
-    t.set_defaults(func=cmd_table)
-
-    v = sub.add_parser("violations", help="list monotonicity failures of one function")
-    _add_set(v)
-    v.add_argument("--max", type=int, required=True, metavar="N")
-    v.add_argument("--kind", choices=("r1", "r2", "r3"), default="r1")
-    v.add_argument("--strict", action="store_true", help="report failures of strict increase")
-    v.add_argument("--format", choices=("csv", "json"), default="json")
-    _add_common(v)
-    v.set_defaults(func=cmd_violations)
-
-    d = sub.add_parser("density", help="exact member count and ratio on [1, N]")
-    _add_set(d)
-    d.add_argument("--max", type=int, required=True, metavar="N")
-    _add_common(d)
-    d.set_defaults(func=cmd_density)
-
-    w = sub.add_parser("witness", help="predict and verify an r2 decrease")
-    _add_set(w)
-    w.add_argument(
-        "--max",
-        type=int,
-        default=DEFAULT_WITNESS_SCAN,
-        metavar="N",
-        help=f"range of the brute-force comparison (default {DEFAULT_WITNESS_SCAN})",
-    )
-    _add_common(w)
-    w.set_defaults(func=cmd_witness)
-
-    r = sub.add_parser("render", help="plot member pairs (a, b) as points (a + b, a)")
-    _add_set(r)
-    r.add_argument("--max", type=int, required=True, metavar="N", help="largest pair sum shown")
-    r.add_argument("--format", choices=("svg", "ascii"), default="svg")
-    _add_common(r)
-    r.set_defaults(func=cmd_render)
-
-    vf = sub.add_parser("verify", help="run a named verification suite")
-    vf.add_argument("suite", choices=SUITE_NAMES + ("all",))
-    vf.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    vf.add_argument(
-        "--self-test-corrupt",
-        action="store_true",
-        help="perturb one computed value per suite; the run must then fail",
-    )
-    _add_out(vf)
-    vf.set_defaults(func=cmd_verify)
-
-    return p
-
-
-def _add_set(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--set", required=True, metavar="SPEC", help='set-spec, e.g. "complement(finite:2,5)"')
-
-
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--budget", type=int, default=DEFAULT_MEMORY_BUDGET, metavar="BYTES")
-    _add_out(sp)
-
-
-def _add_out(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-
-
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -129,11 +52,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 def _json_document(obj: dict) -> str:
     """`json.dumps(obj) + "\n"` with each array value a list, for a dict
     whose int64 arrays all come after its other values: json.dumps writes
-    the other values and the decimal writer each array."""
+    the other values, the decimal writer each array, and one join all parts."""
     arrays = {k: v for k, v in obj.items() if isinstance(v, core.np.ndarray)}
-    head = json.dumps({k: v for k, v in obj.items() if k not in arrays})
-    tail = "".join(f", {json.dumps(k)}: [{core._decimal_rows((v,), end=', ')[:-2]}]" for k, v in arrays.items())
-    return head[:-1] + tail + "}\n"
+    parts = [json.dumps({k: v for k, v in obj.items() if k not in arrays})[:-1]]
+    for k, v in arrays.items():
+        parts += (", ", json.dumps(k), ": [", core._decimal_rows((v,), end=", ")[:-2], "]")
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def cmd_table(args: argparse.Namespace) -> int:
@@ -194,74 +119,101 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+_SET = ("--set", {"required": True, "metavar": "SPEC", "help": 'set-spec, e.g. "complement(finite:2,5)"'})
+_MAX = ("--max", {"type": int, "required": True, "metavar": "N"})
+_BUDGET = ("--budget", {"type": int, "default": DEFAULT_MEMORY_BUDGET, "metavar": "BYTES"})
+_OUT = ("--out", {"metavar": "PATH", "help": "write the report here instead of stdout"})
+
+# The one grammar: per command its help, its function and its arguments as
+# (option string, argparse keywords), in the order of its help text.
+GRAMMAR = {
+    "table": ("compute r1, r2, r3 on [0, N]", cmd_table, (
+        _SET, _MAX, ("--format", {"choices": ("csv", "json"), "default": "csv"}), _BUDGET, _OUT)),
+    "violations": ("list monotonicity failures of one function", cmd_violations, (
+        _SET, _MAX, ("--kind", {"choices": ("r1", "r2", "r3"), "default": "r1"}),
+        ("--strict", {"action": "store_true", "help": "report failures of strict increase"}),
+        ("--format", {"choices": ("csv", "json"), "default": "json"}), _BUDGET, _OUT)),
+    "density": ("exact member count and ratio on [1, N]", cmd_density, (_SET, _MAX, _BUDGET, _OUT)),
+    "witness": ("predict and verify an r2 decrease", cmd_witness, (_SET, ("--max", {
+        "type": int, "default": DEFAULT_WITNESS_SCAN, "metavar": "N",
+        "help": f"range of the brute-force comparison (default {DEFAULT_WITNESS_SCAN})"}), _BUDGET, _OUT)),
+    "render": ("plot member pairs (a, b) as points (a + b, a)", cmd_render, (
+        _SET, ("--max", {**_MAX[1], "help": "largest pair sum shown"}),
+        ("--format", {"choices": ("svg", "ascii"), "default": "svg"}), _BUDGET, _OUT)),
+    "verify": ("run a named verification suite", cmd_verify, (
+        ("suite", {"choices": SUITE_NAMES + ("all",)}), ("--seed", {"type": int, "default": DEFAULT_SEED}),
+        ("--self-test-corrupt", {"action": "store_true",
+                                 "help": "perturb one computed value per suite; the run must then fail"}),
+        _OUT)),
+}
+
+
 @functools.cache
-def _plain_commands() -> dict[str, tuple[dict, dict, list]]:
-    """Per command whose options are all exact-string `store` (one value)
-    or `store_true` actions: its option strings, the namespace defaults
-    argparse starts from, and its required actions.  Read from
-    `build_parser()`, so that it stays the one grammar."""
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    others = [a for a in parser._actions if a is not sub and not isinstance(a, argparse._HelpAction)]
-    if others or parser._defaults:  # top-level options would add defaults of their own
-        return {}
-    commands = {}
-    for name, sp in sub.choices.items():
-        actions = [a for a in sp._actions if not isinstance(a, argparse._HelpAction)]
-        if sp._mutually_exclusive_groups or not all(map(_is_plain, actions)):
-            continue
-        defaults = {sub.dest: name, **sp._defaults, **{a.dest: a.default for a in actions}}
-        options = {s: a for a in actions for s in a.option_strings}
-        commands[name] = (options, defaults, [a for a in actions if a.required])
-    return commands
-
-
-def _is_plain(a: argparse.Action) -> bool:
-    """A `store_true` option, or a `store` option of one value whose default
-    argparse keeps as it is (it passes a string default through `type`)."""
-    if a.default is argparse.SUPPRESS or not a.option_strings:
-        return False
-    if type(a) is argparse._StoreTrueAction:
-        return True
-    return (
-        type(a) is argparse._StoreAction
-        and a.nargs is None
-        and not (isinstance(a.default, str) and a.type is not None)
+def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, for the first line `_read_plain` declines: it costs more
+    than most requests, and `parse_args` leaves it unchanged and returns a fresh namespace."""
+    p = argparse.ArgumentParser(
+        prog="repfn",
+        description="Additive representation functions r1, r2, r3 over decidable integer sets.",
     )
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, arguments) in GRAMMAR.items():
+        sp = sub.add_parser(name, help=help_text)
+        for string, keywords in arguments:
+            sp.add_argument(string, **keywords)
+        sp.set_defaults(func=func)
+    return p
+
+
+def _plain_grammar(name: str, func, arguments: tuple) -> tuple[dict, dict, set]:
+    """Per option string its dest, flag-ness, type and choices; the namespace
+    argparse starts from, but for the required options; their dests."""
+    options, defaults, required = {}, {"command": name, "func": func}, set()
+    for string, keywords in arguments:
+        dest = string[2:].replace("-", "_")
+        flag = keywords.get("action") == "store_true"
+        options[string] = (dest, flag, keywords.get("type"), keywords.get("choices"))
+        if keywords.get("required"):
+            required.add(dest)
+        else:
+            defaults[dest] = keywords.get("default", False if flag else None)
+    return options, defaults, required
+
+
+# every command whose arguments are all options; verify's positional suite goes to argparse
+_PLAIN = {name: _plain_grammar(name, func, arguments) for name, (_, func, arguments) in GRAMMAR.items()
+          if all(string.startswith("--") for string, _ in arguments)}
 
 
 def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     """`build_parser().parse_args(argv)` for a plain command line (see the
     module docstring), or None where argparse must decide."""
-    grammar = _plain_commands().get(argv[0]) if argv else None
+    grammar = _PLAIN.get(argv[0]) if argv else None
     if grammar is None:
         return None
     options, defaults, required = grammar
     values = dict(defaults)
-    seen = set()
     tokens = iter(argv[1:])
     for token in tokens:
-        action = options.get(token)
-        if action is None:
+        option = options.get(token)
+        if option is None:
             return None
-        seen.add(action)
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        dest, flag, type_, choices = option
+        if flag:
+            values[dest] = True
             continue
         value = next(tokens, "-")  # a missing value declines like a "-" one
         if value.startswith("-"):
             return None
-        if action.type is not None:
+        if type_ is not None:
             try:
-                value = action.type(value)
+                value = type_(value)
             except (TypeError, ValueError, argparse.ArgumentTypeError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    if not all(a in seen for a in required):
-        return None
-    return argparse.Namespace(**values)
+        values[dest] = value
+    return argparse.Namespace(**values) if values.keys() >= required else None
 
 
 def main(argv: list[str] | None = None) -> int:

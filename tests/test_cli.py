@@ -55,6 +55,17 @@ class TestTable:
         assert code == 0 and out == ""
         assert path.read_text().startswith("n,r1,r2,r3")
 
+    def test_json_document_peaks_at_about_twice_its_length(self):
+        # the arrays' texts and their one join; each further copy of them would add about 1x
+        obj = batch_table(parse_set_spec("complement(pow2)"), 2**17).to_json_obj()
+        tracemalloc.start()
+        try:
+            doc = cli._json_document(obj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * len(doc)
+
 
 def reference_table_csv(t):
     """Table CSV as `%`-formatted rows, blocks of 4096."""
@@ -462,8 +473,36 @@ def token_soups(draw):
     return argv
 
 
+def plain_requests(out):
+    """A plain line of every command but verify, writing its report to out."""
+    common = ("--budget", "100000000", "--out", str(out))
+    return [
+        ["table", "--set", "nat", "--max", "6", "--format", "json", *common],
+        ["violations", "--set", "pow2", "--max", "10", "--kind", "r2", "--strict", "--format", "csv", *common],
+        ["density", "--set", "pow2", "--max", "64", *common],
+        ["witness", "--set", "complement(finite:2,5)", "--max", "20", *common],
+        ["witness", "--set", "complement(finite:2,5)", *common],
+        ["render", "--set", "nat", "--max", "4", "--format", "ascii", *common],
+    ]
+
+
+# runs the JSON list of command lines it is given in a fresh process, then
+# prints how many parsers build_parser() has built
+PLAIN_REQUESTS_IN_FRESH_PROCESS = """
+import json, sys
+from repfn import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(cli.build_parser.cache_info().currsize)
+"""
+
+# the keywords _read_plain interprets; any other would be misread
+READ_KEYWORDS = {"required", "type", "default", "choices", "metavar", "help", "action"}
+
+
 class TestPlainReader:
-    """`main` reads plain argv from the parser's own actions; argparse takes the rest."""
+    """`main` reads plain argv from the declared table `cli.GRAMMAR`, from
+    which `build_parser()` also builds argparse's parser; argparse takes the rest."""
 
     @settings(max_examples=500, deadline=None)
     @given(token_soups())
@@ -487,17 +526,9 @@ class TestPlainReader:
         return count
 
     def test_every_request_command_is_read_without_argparse(self, capsys, tmp_path, top_level_parses):
-        common = ("--budget", "100000000", "--out", str(tmp_path / "out"))
-        argvs = [
-            ("table", "--set", "nat", "--max", "6", "--format", "json", *common),
-            ("violations", "--set", "pow2", "--max", "10", "--kind", "r2", "--strict", "--format", "csv", *common),
-            ("density", "--set", "pow2", "--max", "64", *common),
-            ("witness", "--set", "complement(finite:2,5)", "--max", "20", *common),
-            ("witness", "--set", "complement(finite:2,5)", *common),
-            ("render", "--set", "nat", "--max", "4", "--format", "ascii", *common),
-        ]
+        argvs = plain_requests(tmp_path / "out")
         for argv in argvs:
-            assert main(list(argv)) == 0, argv
+            assert main(argv) == 0, argv
         assert top_level_parses == []
         # every option of every command but verify is on some line above
         used = {token for argv in argvs for token in argv}
@@ -518,18 +549,27 @@ class TestPlainReader:
         capsys.readouterr()
         assert top_level_parses == [1]
 
-    @pytest.mark.parametrize("option", [{"action": "append"}, {"nargs": "?"}])
-    def test_a_command_with_another_action_goes_to_argparse(self, monkeypatch, option):
-        toy = build_parser.__wrapped__()
-        subparsers(toy)["table"].add_argument("--extra", **option)
-        monkeypatch.setattr(cli, "build_parser", lambda: toy)
-        cli._plain_commands.cache_clear()
-        try:
-            assert cli._read_plain(["table", "--set", "nat", "--max", "6"]) is None
-            density = ["density", "--set", "pow2", "--max", "64"]
-            assert cli._read_plain(density) == toy.parse_args(density)
-        finally:
-            cli._plain_commands.cache_clear()
+    def test_plain_lines_build_no_parser(self, tmp_path):
+        argvs = plain_requests(tmp_path / "out")
+        proc = subprocess.run(
+            [sys.executable, "-c", PLAIN_REQUESTS_IN_FRESH_PROCESS, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    @pytest.mark.parametrize("name", sorted(cli.GRAMMAR))
+    def test_the_reader_interprets_every_keyword_of_the_grammar(self, name):
+        # so that a future nargs, append, const or dest fails here instead of being misread
+        for string, keywords in cli.GRAMMAR[name][2]:
+            assert set(keywords) <= READ_KEYWORDS, (name, string)
+            assert keywords.get("action", "store_true") == "store_true", (name, string)
+            # argparse passes a string default through type; the reader takes it as it is
+            assert not (isinstance(keywords.get("default"), str) and "type" in keywords), (name, string)
+            # a long option, whose dest is its name; or a positional, which sends its command to argparse
+            assert string.startswith("--") or not string.startswith("-"), (name, string)
+        assert (name in cli._PLAIN) == (name != "verify")
 
 
 class TestDataStreamPurity:
