@@ -49,7 +49,7 @@ import enum
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -133,7 +133,8 @@ def closed_form(kind: RepKind, n: int) -> int:
 
 @dataclass(frozen=True)
 class RepTable:
-    """The three count arrays over [0, max_n] for one set."""
+    """The three count arrays over [0, max_n] for one set: read-only int64
+    arrays, r1 possibly the very array given to `table_from_r1`."""
 
     integer_set: IntegerSet
     max_n: int
@@ -218,12 +219,13 @@ def membership_array(a: IntegerSet, max_n: int) -> np.ndarray:
 
 
 def diagonal_indicator(a: IntegerSet, max_n: int) -> np.ndarray:
-    """1 where n is even and n/2 is a member, else 0.  Equals r2 - r3."""
+    """1 where n is even and n/2 is a member, else 0, as a uint8 array over
+    [0, max_n].  Equals r2 - r3."""
     return _diagonal(membership_array(a, max_n))
 
 
 def _diagonal(mem: np.ndarray) -> np.ndarray:
-    d = np.zeros(len(mem), dtype=np.int64)
+    d = np.zeros(len(mem), dtype=np.uint8)
     d[0::2] = mem[: (len(mem) + 1) // 2]
     return d
 
@@ -262,8 +264,10 @@ def _r1_blocks(mem: np.ndarray, dtype: type) -> np.ndarray:
     win = sliding_window_view(xp, b)
     ar = np.ascontiguousarray(xp[b - 1 :].reshape(m, b)[:, ::-1])
     out = np.zeros((m, b), dtype=dtype)
+    prod = np.empty((m, b), dtype=dtype)
     for d in range(m):
-        out[d:] += ar[: m - d] @ win[d * b : d * b + b].T
+        np.matmul(ar[: m - d], win[d * b : d * b + b].T, out=prod[: m - d])
+        out[d:] += prod[: m - d]
     return out.ravel()[:n].astype(np.int64)
 
 
@@ -328,16 +332,23 @@ def _r1_periodic(mem: np.ndarray, q: int, p: int) -> np.ndarray:
     step = head[s + p : s + 2 * p] - base
     if not np.array_equal(head[s + 2 * p :], base + 2 * step):
         raise SelfCheckError(f"r1 from {s} does not follow period {p} in its naive prefix")
-    j = np.arange(-(-(n - s) // p), dtype=np.int64)[:, None]
     r1 = np.empty(n, dtype=np.int64)
     r1[:s] = head[:s]
-    r1[s:] = (base + j * step).ravel()[: n - s]
+    # row j of the whole periods from s is base + j step, a running sum down
+    # the rows, taken in place; the last, partial row follows its predecessor
+    k, rest = divmod(n - s, p)
+    rows = r1[s : n - rest].reshape(k, p)
+    rows[0], rows[1:] = base, step
+    np.cumsum(rows, axis=0, out=rows)
+    r1[n - rest :] = rows[-1, :rest] + step[:rest]
     return r1
 
 
 def _derive_table(a: IntegerSet, r1: np.ndarray, d: np.ndarray) -> RepTable:
-    # r1 = 2*r3 + d and r2 = r3 + d, where d is the diagonal indicator
-    r2 = (r1 + d) >> 1
+    # r1 = 2*r3 + d and r2 = r3 + d, where d is the 0/1 diagonal indicator;
+    # r2 is halved in place, so the table allocates only r2 and r3
+    r2 = r1 + d
+    r2 >>= 1
     r3 = r2 - d
     for arr in (r1, r2, r3):
         arr.setflags(write=False)
@@ -347,10 +358,11 @@ def _derive_table(a: IntegerSet, r1: np.ndarray, d: np.ndarray) -> RepTable:
 def _estimate_bytes(max_n: int, route: str | None = None) -> int:
     """Bytes a table up to max_n is charged on `route`, or with no route the
     most that any route open at that size is charged.  Past a fixed overhead
-    that is 48 per entry on a structural route (33-38 traced: membership, r1
-    and its temporaries, the three count arrays), 64 on naive (its float
-    copies and convolution output too), and on the fft 16 more per entry of
-    its 2^k transform length (padded spectrum and inverse transform)."""
+    that is 48 per entry on a structural route (26.5-27.5 traced: the
+    membership and diagonal bytes and the three count arrays), 64 on naive
+    (its float copies and convolution output too), and on the fft 16 more
+    per entry of its 2^k transform length (padded spectrum and inverse
+    transform)."""
     n = max_n + 1
     if route is None:
         route = "fft" if max_n > FFT_CUTOVER else "naive"
@@ -442,14 +454,22 @@ def r1_array_via_complement(a: IntegerSet, max_n: int) -> np.ndarray:
     when the complement of a is sparse, since its pairs go to `sparse_r1`."""
     _check_n(max_n)
     misses = complement(a)
-    r1 = np.arange(1, max_n + 2, dtype=np.int64)
-    r1 -= 2 * np.cumsum(membership_array(misses, max_n), dtype=np.int64)
+    # each n adds 1 to n + 1 and each miss up to n takes 2 away: one int64 pass
+    r1 = np.cumsum(1 - 2 * membership_array(misses, max_n).view(np.int8), dtype=np.int64)
     for n, pairs in sparse_r1(misses, max_n).items():
         r1[n] += pairs
     return r1
 
 
-def table_from_r1(a: IntegerSet, r1: Iterable[int]) -> RepTable:
-    """Build a full table from a precomputed r1 array, deriving r2 and r3."""
-    r1 = np.array(r1, dtype=np.int64)
+def table_from_r1(a: IntegerSet, r1: Sequence[int] | np.ndarray) -> RepTable:
+    """A full table over [0, len(r1) - 1] from a precomputed r1, deriving r2
+    and r3.  An int64 array becomes the table's r1 without a copy and is made
+    read-only, as every table's arrays are.  Raises ValueError unless r1 is a
+    non-empty 1-D array or sequence of non-negative integers."""
+    r1 = np.asarray(r1)
+    if r1.ndim != 1 or not len(r1) or r1.dtype.kind not in "iu":
+        raise ValueError(f"r1 must be a non-empty 1-D integer array, not {r1.dtype} of shape {r1.shape}")
+    r1 = r1.astype(np.int64, copy=False)
+    if r1.min() < 0:
+        raise ValueError("r1 counts must be non-negative")
     return _derive_table(a, r1, diagonal_indicator(a, len(r1) - 1))

@@ -117,15 +117,19 @@ def _r1_word_parallel(mem: np.ndarray) -> np.ndarray:
     words = np.packbits(bits[: 64 * w], bitorder="little").view("<u8")
     rev = mem[::-1]
     by_shift = np.zeros((w, 64), dtype=np.int64)
+    anded = np.empty((64, w), dtype=np.uint64)  # scratch reused by every band
+    counts = np.empty((64, w), dtype=np.uint8)
     for b in range(min(64, size)):
         bits[: size - b] = rev[b:]
         bits[size - b : size] = 0
         shifted = np.packbits(bits, bitorder="little").view("<u8")
         window = sliding_window_view(shifted, w)[:w]
         for q in range(0, w, 64):
-            rows = window[q : q + 64, : w - q] & words[: w - q]
-            # int64 sums: a uint16 sum overflows once 64 w >= 65536
-            by_shift[q : q + 64, b] = np.bitwise_count(rows).sum(axis=1, dtype=np.int64)
+            band = window[q : q + 64, : w - q]
+            rows = np.bitwise_and(band, words[: w - q], out=anded[: len(band), : w - q])
+            ones = np.bitwise_count(rows, out=counts[: len(band), : w - q])
+            # a row holds at most 64 w bits, so uint32 sums are exact below 2^32 bits
+            by_shift[q : q + 64, b] = ones.sum(axis=1, dtype=np.uint32)
     return by_shift.ravel()[size - 1 :: -1]
 
 

@@ -425,10 +425,6 @@ class TestParserReuse:
         assert built == []
 
 
-def subparsers(parser):
-    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
-
-
 def parse_or_exit(parser, argv):
     """argparse's namespace for argv, or None where it exits."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -438,20 +434,20 @@ def parse_or_exit(parser, argv):
             return None
 
 
-COMMANDS = subparsers(build_parser())
-OPTIONS = {name: [a for a in sp._actions if not isinstance(a, argparse._HelpAction)] for name, sp in COMMANDS.items()}
-PARSER_TOKENS = sorted(set(COMMANDS) | {s for actions in OPTIONS.values() for a in actions for s in a.option_strings})
-CHOICES = sorted({c for actions in OPTIONS.values() for a in actions for c in a.choices or ()})
+# per command its arguments as (option string, argparse keywords), read from the declared grammar
+OPTIONS = {name: arguments for name, (_, _, arguments) in cli.GRAMMAR.items()}
+PARSER_TOKENS = sorted(set(OPTIONS) | {s for arguments in OPTIONS.values() for s, _ in arguments if s.startswith("-")})
+CHOICES = sorted({c for arguments in OPTIONS.values() for _, keywords in arguments for c in keywords.get("choices", ())})
 # int() reads "\u0663" (Arabic-Indic three), "1_0" and " 7"
 VALUES = ["", "-5", "\u0663", "1_0", " 7", "5", "0", "pow2", "nat", "finite:2,5", "xml", *CHOICES]
 OTHER_TOKENS = ["-h", "--help", "--", "--ma", "--se", "--fo", "--st", "--max=5", "--set=pow2", "--strict=1", "junk"]
 any_token = st.sampled_from(PARSER_TOKENS + VALUES + OTHER_TOKENS)
 
 
-def good_values(action):
-    if action.choices:
-        return st.sampled_from(action.choices)
-    return st.sampled_from(["5", "0", "1_0", " 7", "\u0663"] if action.type is int else ["pow2", "nat", "", " 7"])
+def good_values(keywords):
+    if "choices" in keywords:
+        return st.sampled_from(keywords["choices"])
+    return st.sampled_from(["5", "0", "1_0", " 7", "\u0663"] if keywords.get("type") is int else ["pow2", "nat", "", " 7"])
 
 
 @st.composite
@@ -460,14 +456,14 @@ def token_soups(draw):
     sometimes missing or repeated, with good values or now and then any
     token; then a few tokens replaced by or followed by any token:
     abbreviated and `=` options, help, "--", other commands."""
-    name = draw(st.sampled_from(sorted(COMMANDS)))
+    name = draw(st.sampled_from(sorted(OPTIONS)))
     argv = [name]
-    for action in draw(st.permutations(OPTIONS[name])):
+    for string, keywords in draw(st.permutations(OPTIONS[name])):
         for _ in range(draw(st.sampled_from([1, 1, 1, 0, 2]))):
-            if action.option_strings:  # else verify's positional suite
-                argv.append(draw(st.sampled_from(action.option_strings)))
-            if action.nargs != 0:
-                argv.append(draw(st.one_of(*[good_values(action)] * 3, any_token)))
+            if string.startswith("-"):  # else verify's positional suite
+                argv.append(string)
+            if keywords.get("action") != "store_true":
+                argv.append(draw(st.one_of(*[good_values(keywords)] * 3, any_token)))
     for i, token, replace in draw(st.lists(st.tuples(st.integers(0, len(argv)), any_token, st.booleans()), max_size=3)):
         argv[i : i + replace] = [token]
     return argv
@@ -532,7 +528,7 @@ class TestPlainReader:
         assert top_level_parses == []
         # every option of every command but verify is on some line above
         used = {token for argv in argvs for token in argv}
-        assert used >= {a.option_strings[0] for name, actions in OPTIONS.items() if name != "verify" for a in actions}
+        assert used >= {string for name, arguments in OPTIONS.items() if name != "verify" for string, _ in arguments}
 
     @pytest.mark.parametrize(
         "argv",

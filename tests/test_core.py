@@ -26,7 +26,7 @@ from repfn.errors import BudgetExceededError, SelfCheckError
 from repfn.monotonicity import find_violations
 from repfn.pool import mixed_pool, periodic_pool
 from repfn.sets import FiniteSet, PowersOfTwo, complement, min_element, parse_set_spec, shift_down
-from repfn.verify import _half_range_counts, _r1_word_parallel
+from repfn.verify import _half_range_counts, _r1_word_parallel, suite_density_one
 
 
 def unstructured_set(max_n, seed=5):
@@ -35,6 +35,13 @@ def unstructured_set(max_n, seed=5):
     preperiod too long for its periodic route, so `auto` runs the FFT."""
     rng = np.random.default_rng(seed)
     return FiniteSet(tuple(np.flatnonzero(rng.random(max_n + 1) < 0.5).tolist()))
+
+
+def table_ceiling(max_n):
+    """The traced bytes a table up to max_n may take at most: its membership,
+    diagonal and three int64 count arrays are 26 per entry, and 28 leaves
+    room for a route's pair map and the fixed overhead, but for no more int64."""
+    return 28 * (max_n + 1) + core._FIXED_BYTES
 
 
 def brute_counts(a, n):
@@ -127,6 +134,7 @@ class TestBatchTable:
         for a in mixed_pool(6, seed=9):
             t = batch_table(a, 200)
             d = diagonal_indicator(a, 200)
+            assert d.dtype == np.uint8
             assert np.array_equal(t.r1, t.r2 + t.r3)
             assert np.array_equal(t.r2 - t.r3, d)
             assert np.array_equal(t.r1, 2 * t.r3 + d)
@@ -232,6 +240,8 @@ class TestFftKernel:
         naive_runs = strategy == "naive" or max_n <= core.FFT_CUTOVER
         if naive_runs and max_n >= 100:
             assert estimate <= 3 * peak
+        if max_n == 2**17:
+            assert peak <= table_ceiling(max_n)
 
     def test_fft_runs_exactly_when_estimated(self, monkeypatch):
         class FftCalled(Exception):
@@ -376,6 +386,8 @@ class TestAutoRoutes:
             assert peak <= charge
             if route != "fft":
                 assert charge <= 2 * peak, (route, max_n)
+            if route != "fft" and max_n == 2**17:
+                assert peak <= table_ceiling(max_n), route
 
 
 class TestSubsetMonotonicity:
@@ -452,6 +464,34 @@ class TestComplementPath:
         direct = batch_table(a, 40, "naive")
         assert np.array_equal(t.r2, direct.r2)
         assert np.array_equal(t.r3, direct.r3)
+
+    def test_table_from_r1_keeps_an_int64_array(self):
+        a = parse_set_spec("complement(pow2)")
+        arr = r1_array_via_complement(a, 40)
+        t = table_from_r1(a, arr)
+        assert np.shares_memory(t.r1, arr)
+        assert not arr.flags.writeable
+        assert table_from_r1(a, arr.astype(np.int32)).r1.dtype == np.int64
+        assert table_from_r1(a, arr.tolist()).r1.tolist() == arr.tolist()
+
+    @pytest.mark.parametrize(
+        "r1",
+        [[], [0, 0, 1.5], [[1, 0], [2, 2]], [1, -1, 2], np.zeros(3, dtype=bool), 5, np.array([2**63], dtype=np.uint64)],
+    )
+    def test_table_from_r1_rejects_what_is_not_a_count_array(self, r1):
+        with pytest.raises(ValueError):
+            table_from_r1(parse_set_spec("nat"), r1)
+
+    def test_density_one_suite_holds_one_r1_and_its_table(self):
+        # r1, r2 and r3 over 2^20 + 1 entries are 24 MiB; a fourth int64 array would pass 28
+        tracemalloc.start()
+        try:
+            checks = suite_density_one()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.passed for c in checks)
+        assert peak <= 28 * 2**20
 
 
 class TestSparseR1:
