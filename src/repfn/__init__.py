@@ -42,12 +42,10 @@ _EXPORTS = {
     "find_violations": "monotonicity",
     "DensityEstimate": "sets",
     "natural_density_estimate": "sets",
-    "Complement": "sets",
     "FiniteSet": "sets",
     "IntegerSet": "sets",
     "PeriodicSet": "sets",
     "PowersOfTwo": "sets",
-    "Shifted": "sets",
     "complement": "sets",
     "complement_prefix": "sets",
     "contains": "sets",

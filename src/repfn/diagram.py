@@ -27,7 +27,7 @@ _RADIUS = 3
 # and its share of the joined document (at most 193 bytes).
 _ASCII_BYTES = 2048
 _ASCII_CELL_BYTES = 3
-_SVG_BYTES = 900
+_SVG_BYTES = 800
 _MEMBER_BYTES = 48
 _POINT_BYTES = 256
 

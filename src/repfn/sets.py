@@ -1,14 +1,19 @@
 """Decidable sets of non-negative integers given by finite descriptors.
 
-Five descriptor kinds cover everything the rest of the package needs:
-explicit finite lists, eventually periodic bit patterns, the powers of two
-2, 4, 8, ..., complements, and downward shifts.  Membership of any n, the
-next member or missing value from any k (`next_value`), and the member count
-of [0, n] (`count`) are decided in time bounded by the descriptor size, so
-nothing here scans up to a value.  A descriptor without `pow2` is eventually
-periodic, and `eventual_form` gives a preperiod and period from the
-descriptor.  `natural_density_estimate` reads the exact member count of
-[1, N] from `count`, so a density needs no table.
+A descriptor is one of three atoms, an explicit finite list (`FiniteSet`),
+an eventually periodic bit pattern (`PeriodicSet`) or the powers of two
+2, 4, 8, ... (`PowersOfTwo`), plus an offset k and a `complemented` flag:
+its members are the n >= 0 with (n + k in atom) != complemented.  Shifts
+and complements commute in this form, so `complement`, `shift_down` and
+the parser fold any chain of prefixes into one descriptor of the same
+atom (offsets add, flags are XORed) and no method recurses.  Membership of
+any n, the next member or missing value from any k (`next_value`), and
+the member count of [0, n] (`count`) are decided in time bounded by the
+descriptor size, so nothing here scans up to a value.  A descriptor
+without `pow2` is eventually periodic, and `eventual_form` gives a
+preperiod and period from the descriptor.  `natural_density_estimate`
+reads the exact member count of [1, N] from `count`, so a density needs
+no table.
 
 The textual mini-language (`parse_set_spec`) is:
 
@@ -20,10 +25,11 @@ The textual mini-language (`parse_set_spec`) is:
     bits   := ("0"|"1")*                     period part must be nonempty
     uint   := decimal digits                 at most sys.get_int_max_str_digits()
 
-At most MAX_NESTING (64) prefixes wrap the atom, so no method of a parsed
-descriptor recurses deeper than that.  Whitespace is not significant.
-"nat" is sugar for complement(finite:) and "empty" for finite:.  Bit k of
-the unrolled preperiod+period sequence gives membership of the integer k.
+At most MAX_NESTING (64) prefixes wrap the atom.  Whitespace is not
+significant.  "nat" is sugar for complement(finite:) and "empty" for
+finite:.  Bit k of the unrolled preperiod+period sequence gives membership
+of the integer k.  A descriptor keeps its prefixes, with adjacent
+complements cancelled and adjacent shifts added, only to print its spec.
 """
 
 from __future__ import annotations
@@ -31,7 +37,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
@@ -42,8 +47,6 @@ __all__ = [
     "FiniteSet",
     "PeriodicSet",
     "PowersOfTwo",
-    "Complement",
-    "Shifted",
     "parse_set_spec",
     "MAX_NESTING",
     "contains",
@@ -58,42 +61,90 @@ __all__ = [
 
 
 class IntegerSet:
-    """Base class for set descriptors.  Instances are immutable and hashable."""
+    """Base class for set descriptors: an atom, an offset and a flag.
+
+    Each atom implements membership in its own coordinates: `_has(x)`,
+    `_next(x, member)` (least x' >= x whose membership is `member`, or
+    None), `_count(x)` (members in [0, x]) and `_atom_spec()`, plus
+    `membership_bytes`, which applies the offset and the flag as it fills.
+    Instances are never changed once built and are hashable; two are equal
+    when their spec texts are.
+    """
+
+    __slots__ = ("offset", "complemented", "_prefixes")
+
+    def __init__(self):
+        # the prefixes, outermost first: None for complement(, k for shift(k,
+        self.offset, self.complemented, self._prefixes = 0, False, ()
+
+    def _derive(self, prefixes: tuple, offset: int, complemented: bool) -> IntegerSet:
+        """The same atom under another offset, flag and prefix chain."""
+        new = object.__new__(type(self))
+        for name in type(self).__slots__:  # the atom's own fields
+            setattr(new, name, getattr(self, name))
+        new.offset, new.complemented, new._prefixes = offset, complemented, prefixes
+        return new
 
     def contains(self, n: int) -> bool:
-        raise NotImplementedError
+        return self._has(n + self.offset) != self.complemented
 
     def __contains__(self, n: int) -> bool:
         return self.contains(n)
 
     def next_value(self, k: int, member: bool = True) -> int | None:
         """Least member n >= k (with member=False, least missing n >= k) or None."""
-        raise NotImplementedError
+        n = self._next(k + self.offset, member != self.complemented)
+        return None if n is None else n - self.offset
 
-    def spec(self) -> str:
-        """Canonical set-spec string; `parse_set_spec` round-trips it."""
-        raise NotImplementedError
+    def count(self, max_n: int) -> int:
+        """Number of members in [0, max_n]."""
+        # the atom's members below the offset are not shifted into the set
+        inside = self._count(max_n + self.offset) - self._count(self.offset - 1)
+        return max_n + 1 - inside if self.complemented else inside
+
+    def members(self, max_n: int) -> list[int]:
+        """Members up to max_n in increasing order: stepped from member to
+        member when they are sparse, else read off the membership bytes."""
+        # one step costs about as much as reading 32 membership bytes
+        if 32 * self.count(max_n) > max_n:
+            return list(compress(range(max_n + 1), self.membership_bytes(max_n)))
+        out, n = [], self.next_value(0)
+        while n is not None and n <= max_n:
+            out.append(n)
+            n = self.next_value(n + 1)
+        return out
 
     def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
         """Memberships of start..max_n as a bytes object of 0/1 values."""
         raise NotImplementedError
 
-    def count(self, max_n: int) -> int:
-        """Number of members in [0, max_n]."""
-        raise NotImplementedError
+    def spec(self) -> str:
+        """Canonical set-spec string; `parse_set_spec` round-trips it."""
+        head = "".join("complement(" if p is None else f"shift({p}," for p in self._prefixes)
+        text = head + self._atom_spec() + ")" * len(self._prefixes)
+        return "nat" if text == "complement(empty)" else text
 
-    def members(self, max_n: int) -> list[int]:
-        """Members up to max_n in increasing order."""
-        return list(compress(range(max_n + 1), self.membership_bytes(max_n)))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntegerSet) and self.spec() == other.spec()
+
+    def __hash__(self) -> int:
+        return hash(self.spec())
+
+    def __repr__(self) -> str:
+        return f"parse_set_spec({self.spec()!r})"
 
 
-@dataclass(frozen=True)
+def _blank(length: int, complemented: bool) -> bytearray:
+    """`length` membership bytes of a window that holds no atom member."""
+    return bytearray(b"\1") * length if complemented else bytearray(length)
+
+
 class FiniteSet(IntegerSet):
-    elements: tuple[int, ...] = ()
+    __slots__ = ("elements",)
 
-    def __post_init__(self):
-        elems = tuple(self.elements)
-        object.__setattr__(self, "elements", elems)
+    def __init__(self, elements: tuple[int, ...] = ()):
+        super().__init__()
+        self.elements = elems = tuple(elements)
         last = -1
         for e in elems:
             if not isinstance(e, int) or isinstance(e, bool):
@@ -104,183 +155,115 @@ class FiniteSet(IntegerSet):
                 )
             last = e
 
-    def contains(self, n: int) -> bool:
-        i = bisect_left(self.elements, n)
-        return i < len(self.elements) and self.elements[i] == n
+    def _has(self, x: int) -> bool:
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
-    def next_value(self, k: int, member: bool = True) -> int | None:
+    def _next(self, x: int, member: bool) -> int | None:
         elems = self.elements
-        i = bisect_left(elems, k)
+        i = bisect_left(elems, x)
         if member:
             return elems[i] if i < len(elems) else None
-        while i < len(elems) and elems[i] == k:
-            i, k = i + 1, k + 1
-        return k
+        while i < len(elems) and elems[i] == x:
+            i, x = i + 1, x + 1
+        return x
 
-    def spec(self) -> str:
+    def _count(self, x: int) -> int:
+        return bisect_right(self.elements, x)
+
+    def _atom_spec(self) -> str:
         if not self.elements:
             return "empty"
         return "finite:" + ",".join(map(str, self.elements))
 
     def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
-        out = bytearray(max_n + 1 - start)
-        for e in self.elements[bisect_left(self.elements, start) :]:
-            if e > max_n:
-                break
-            out[e - start] = 1
+        elems, lo = self.elements, start + self.offset
+        out, bit = _blank(max_n + 1 - start, self.complemented), 1 - self.complemented
+        for e in elems[bisect_left(elems, lo) : bisect_right(elems, max_n + self.offset)]:
+            out[e - lo] = bit
         return bytes(out)
 
-    def members(self, max_n: int) -> list[int]:
-        return list(self.elements[: bisect_right(self.elements, max_n)])
 
-    def count(self, max_n: int) -> int:
-        return bisect_right(self.elements, max_n)
-
-
-# translate() table from the "0"/"1" characters of a bit string to 0/1 bytes
+# translate() tables from the "0"/"1" characters of a bit string to 0/1
+# bytes, as they are and flipped
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+_FLIPPED_BIT_VALUES = bytes.maketrans(b"01", b"\1\0")
 
 
-@dataclass(frozen=True)
 class PeriodicSet(IntegerSet):
     """Eventually periodic membership: a finite preperiod, then a repeated period."""
 
-    preperiod: str
-    period: str
+    __slots__ = ("preperiod", "period")
 
-    def __post_init__(self):
-        for name, bits in (("preperiod", self.preperiod), ("period", self.period)):
+    def __init__(self, preperiod: str, period: str):
+        super().__init__()
+        self.preperiod, self.period = preperiod, period
+        for name, bits in (("preperiod", preperiod), ("period", period)):
             if any(c not in "01" for c in bits):
                 raise SetSpecError(f"{name} bits must be 0 or 1")
-        if not self.period:
+        if not period:
             raise SetSpecError("period must be nonempty")
 
-    def contains(self, n: int) -> bool:
-        if n < len(self.preperiod):
-            return self.preperiod[n] == "1"
-        return self.period[(n - len(self.preperiod)) % len(self.period)] == "1"
+    def _has(self, x: int) -> bool:
+        if x < len(self.preperiod):
+            return self.preperiod[x] == "1"
+        return self.period[(x - len(self.preperiod)) % len(self.period)] == "1"
 
-    def _bits_from(self, k: int) -> tuple[str, str]:
-        """The bits from k on: the rest of the preperiod, then the period
+    def _bits_from(self, x: int) -> tuple[str, str]:
+        """The bits from x on: the rest of the preperiod, then the period
         rotated to the phase where it resumes, repeated forever."""
         pre = len(self.preperiod)
-        phase = (max(k, pre) - pre) % len(self.period)
-        return self.preperiod[k:], self.period[phase:] + self.period[:phase]
+        phase = (max(x, pre) - pre) % len(self.period)
+        return self.preperiod[x:], self.period[phase:] + self.period[:phase]
 
-    def next_value(self, k: int, member: bool = True) -> int | None:
-        i = "".join(self._bits_from(k)).find("01"[member])
-        return None if i == -1 else k + i
+    def _next(self, x: int, member: bool) -> int | None:
+        i = "".join(self._bits_from(x)).find("01"[member])
+        return None if i == -1 else x + i
 
-    def spec(self) -> str:
+    def _count(self, x: int) -> int:
+        pre, per = self.preperiod, self.period
+        if x < len(pre):
+            return pre[: x + 1].count("1")
+        reps, rest = divmod(x + 1 - len(pre), len(per))
+        return pre.count("1") + reps * per.count("1") + per[:rest].count("1")
+
+    def _atom_spec(self) -> str:
         return f"periodic:{self.preperiod};{self.period}"
 
     def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
         length = max_n + 1 - start
-        head, per = (bits.encode().translate(_BIT_VALUES) for bits in self._bits_from(start))
+        values = _FLIPPED_BIT_VALUES if self.complemented else _BIT_VALUES
+        head, per = (bits.encode().translate(values) for bits in self._bits_from(start + self.offset))
         reps = max(length - len(head), 0) // len(per) + 1
         return (head + per * reps)[:length]
 
-    def count(self, max_n: int) -> int:
-        pre, per = self.preperiod, self.period
-        if max_n < len(pre):
-            return pre[: max_n + 1].count("1")
-        reps, rest = divmod(max_n + 1 - len(pre), len(per))
-        return pre.count("1") + reps * per.count("1") + per[:rest].count("1")
 
-
-@dataclass(frozen=True)
 class PowersOfTwo(IntegerSet):
     """The set {2, 4, 8, ...}.  Note that 1 is not a member."""
 
-    def contains(self, n: int) -> bool:
-        return n >= 2 and (n & (n - 1)) == 0
+    __slots__ = ()
 
-    def next_value(self, k: int, member: bool = True) -> int | None:
+    def _has(self, x: int) -> bool:
+        return x >= 2 and (x & (x - 1)) == 0
+
+    def _next(self, x: int, member: bool) -> int | None:
         if member:
-            return 1 << (max(k, 2) - 1).bit_length()
+            return 1 << (max(x, 2) - 1).bit_length()
         # no two consecutive integers are both powers of two >= 2
-        return k + 1 if self.contains(k) else k
+        return x + 1 if self._has(x) else x
 
-    def spec(self) -> str:
+    def _count(self, x: int) -> int:
+        return max(x.bit_length() - 1, 0)
+
+    def _atom_spec(self) -> str:
         return "pow2"
 
     def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
-        out = bytearray(max_n + 1 - start)
-        p = 2
-        while p <= max_n:
-            if p >= start:
-                out[p - start] = 1
-            p <<= 1
+        lo, hi = start + self.offset, max_n + self.offset
+        out, bit = _blank(max_n + 1 - start, self.complemented), 1 - self.complemented
+        for j in range(max((lo - 1).bit_length(), 1), hi.bit_length()):  # lo <= 2^j <= hi
+            out[(1 << j) - lo] = bit
         return bytes(out)
-
-    def members(self, max_n: int) -> list[int]:
-        return [1 << k for k in range(1, max(max_n, 0).bit_length())]
-
-    def count(self, max_n: int) -> int:
-        return max(max_n.bit_length() - 1, 0)
-
-
-# translate() table flipping the 0/1 byte values a membership_bytes produces
-_FLIP = bytes([1, 0]) + bytes(range(2, 256))
-
-
-@dataclass(frozen=True)
-class Complement(IntegerSet):
-    inner: IntegerSet
-
-    def contains(self, n: int) -> bool:
-        return not self.inner.contains(n)
-
-    def next_value(self, k: int, member: bool = True) -> int | None:
-        return self.inner.next_value(k, not member)
-
-    def spec(self) -> str:
-        if self.inner == FiniteSet():
-            return "nat"
-        return f"complement({self.inner.spec()})"
-
-    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
-        return self.inner.membership_bytes(max_n, start).translate(_FLIP)
-
-    def count(self, max_n: int) -> int:
-        return max_n + 1 - self.inner.count(max_n)
-
-
-@dataclass(frozen=True)
-class Shifted(IntegerSet):
-    """The set {a - offset : a in inner}; offset may not exceed min(inner)."""
-
-    inner: IntegerSet
-    offset: int
-
-    def __post_init__(self):
-        if self.offset < 0:
-            raise SetSpecError("shift offset must be non-negative")
-        m = min_element(self.inner)
-        if self.offset > m:
-            raise SetSpecError(
-                f"shift offset {self.offset} exceeds the inner set minimum {m}"
-            )
-
-    def contains(self, n: int) -> bool:
-        return self.inner.contains(n + self.offset)
-
-    def next_value(self, k: int, member: bool = True) -> int | None:
-        n = self.inner.next_value(k + self.offset, member)
-        return None if n is None else n - self.offset
-
-    def spec(self) -> str:
-        return f"shift({self.offset},{self.inner.spec()})"
-
-    def membership_bytes(self, max_n: int, start: int = 0) -> bytes:
-        return self.inner.membership_bytes(max_n + self.offset, start + self.offset)
-
-    def members(self, max_n: int) -> list[int]:
-        return [m - self.offset for m in self.inner.members(max_n + self.offset)]
-
-    def count(self, max_n: int) -> int:
-        # offset <= min(inner), so inner has no members below offset
-        return self.inner.count(max_n + self.offset)
 
 
 def contains(a: IntegerSet, n: int) -> bool:
@@ -292,21 +275,24 @@ def contains(a: IntegerSet, n: int) -> bool:
 
 def complement(a: IntegerSet) -> IntegerSet:
     """Complement within the non-negative integers; a double complement unwraps."""
-    if isinstance(a, Complement):
-        return a.inner
-    return Complement(a)
+    prefixes = a._prefixes
+    prefixes = prefixes[1:] if prefixes[:1] == (None,) else (None, *prefixes)
+    return a._derive(prefixes, a.offset, not a.complemented)
 
 
 def shift_down(a: IntegerSet, m: int) -> IntegerSet:
     """The set {x - m : x in a}; requires m <= min(a) and a nonempty."""
     if m < 0:
         raise ValueError("shift offset must be non-negative")
+    low = min_element(a)  # a shift by 0 still rejects an empty set
     if m == 0:
-        min_element(a)  # still an error to shift an empty set
         return a
-    if isinstance(a, Shifted):
-        return Shifted(a.inner, a.offset + m)
-    return Shifted(a, m)
+    prefixes, outer = a._prefixes, 0
+    if prefixes and prefixes[0] is not None:  # adjacent shifts add
+        outer, prefixes = prefixes[0], prefixes[1:]
+    if m > low:
+        raise SetSpecError(f"shift offset {outer + m} exceeds the inner set minimum {outer + low}")
+    return a._derive((outer + m, *prefixes), a.offset + m, a.complemented)
 
 
 def min_element(a: IntegerSet) -> int:
@@ -332,31 +318,30 @@ def complement_prefix(a: IntegerSet, count: int) -> tuple[int, ...]:
 
 
 def eventual_form(a: IntegerSet) -> tuple[int, int] | None:
-    """A preperiod q and a period p of a, or None when its descriptor holds `pow2`.
+    """A preperiod q and a period p of a, or None when its atom is `pow2`.
 
     n >= q is a member exactly when n + p is.  The pair comes from the
-    descriptor alone, in time bounded by its size: a finite set is periodic
-    from one past its largest element with period 1, a periodic set gives
-    its own lengths, a complement keeps its inner pair and a shift by k
-    lowers q by k.  The pair need not be the shortest.
+    atom alone, in time bounded by its size: a finite set is periodic from
+    one past its largest element with period 1, and a periodic set gives
+    its own lengths.  The flag keeps the pair and the offset k lowers q by
+    k.  The pair need not be the shortest.
     """
+    if isinstance(a, PowersOfTwo):
+        return None
     if isinstance(a, PeriodicSet):
-        return len(a.preperiod), len(a.period)
-    if isinstance(a, FiniteSet):
-        return (a.elements[-1] + 1 if a.elements else 0), 1
-    inner = eventual_form(a.inner) if isinstance(a, (Complement, Shifted)) else None
-    if inner is None or isinstance(a, Complement):
-        return inner
-    q, p = inner
+        q, p = len(a.preperiod), len(a.period)
+    else:
+        q, p = (a.elements[-1] + 1 if a.elements else 0), 1
     return max(q - a.offset, 0), p
 
 
-@dataclass(frozen=True)
 class DensityEstimate:
     """Exact membership count over the window [1, max_n]."""
 
-    max_n: int
-    member_count: int
+    __slots__ = ("max_n", "member_count")
+
+    def __init__(self, max_n: int, member_count: int):
+        self.max_n, self.member_count = max_n, member_count
 
     @property
     def ratio(self) -> Fraction:

@@ -1,5 +1,7 @@
 """A fresh process loads numpy only for the commands that compute with it:
-`import repfn` and `import repfn.cli` bind the library modules lazily."""
+`import repfn` and `import repfn.cli` bind the library modules lazily.
+`sets` and `diagram` use no dataclasses either, so `density`, `render` and
+help load neither module."""
 
 import subprocess
 import sys
@@ -12,7 +14,7 @@ import contextlib, io, sys
 from repfn import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(rc, "numpy" in sys.modules)
+print(rc, "numpy" in sys.modules, "dataclasses" in sys.modules)
 """
 
 
@@ -23,7 +25,7 @@ def fresh(code, *argv):
 
 
 @pytest.mark.parametrize(
-    "argv, rc, numpy",
+    "argv, rc, heavy",
     [
         (("density", "--set", "pow2", "--max", "100"), 0, False),
         (("render", "--set", "pow2", "--max", "12", "--format", "svg"), 0, False),
@@ -36,8 +38,9 @@ def fresh(code, *argv):
     ],
     ids=["density", "render-svg", "render-ascii", "help", "verify-help", "bad-spec", "table", "verify"],
 )
-def test_numpy_loaded_only_by_commands_that_compute(argv, rc, numpy):
-    assert fresh(RUN_MAIN, *argv) == [str(rc), str(numpy)]
+def test_numpy_loaded_only_by_commands_that_compute(argv, rc, heavy):
+    # heavy: the process loads numpy and dataclasses
+    assert fresh(RUN_MAIN, *argv) == [str(rc), str(heavy), str(heavy)]
 
 
 def test_package_import_loads_no_numpy():

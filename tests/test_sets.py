@@ -1,13 +1,15 @@
+import tracemalloc
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from repfn.errors import EmptySetError, SetSpecError
 from repfn.sets import (
     MAX_NESTING,
-    Complement,
     FiniteSet,
     PeriodicSet,
     PowersOfTwo,
-    Shifted,
     complement,
     complement_prefix,
     contains,
@@ -266,20 +268,22 @@ class TestShift:
 
     def test_nested_shifts_flatten(self):
         inner = parse_set_spec("finite:4,9")
-        assert shift_down(shift_down(inner, 1), 2) == Shifted(inner, 3)
+        a = shift_down(shift_down(inner, 1), 2)
+        assert a == parse_set_spec("shift(3,finite:4,9)")
+        assert a.spec() == "shift(3,finite:4,9)"
+        assert (a.offset, a.complemented) == (3, False)
 
-    def test_membership_reads_only_the_window(self, monkeypatch):
-        calls = []
-        real = FiniteSet.membership_bytes
-
-        def spy(self, max_n, start=0):
-            calls.append((max_n, start))
-            return real(self, max_n, start)
-
-        monkeypatch.setattr(FiniteSet, "membership_bytes", spy)
+    def test_membership_reads_only_the_window(self):
+        # a window of 6 bytes, not the 10**7 below the offset
         a = parse_set_spec("shift(10000000,finite:10000000,10000003)")
-        assert a.membership_bytes(5) == bytes([1, 0, 0, 1, 0, 0])
-        assert calls == [(10000005, 10000000)]
+        tracemalloc.start()
+        try:
+            bts = a.membership_bytes(5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bts == bytes([1, 0, 0, 1, 0, 0])
+        assert peak < 4096
 
 
 class TestMinElement:
@@ -294,7 +298,9 @@ class TestMinElement:
         with pytest.raises(EmptySetError):
             min_element(PeriodicSet("00", "0"))
         with pytest.raises(EmptySetError):
-            min_element(Complement(PeriodicSet("", "1")))
+            min_element(complement(PeriodicSet("", "1")))
+        with pytest.raises(EmptySetError):
+            min_element(parse_set_spec("complement(periodic:;1)"))
 
     def test_scan_bound_exhaustion(self):
         # the scan range is derived from the descriptor, so a long run of
@@ -309,23 +315,23 @@ class TestMinElement:
         assert min_element(a) == 10
 
     def test_large_values_read_from_descriptor(self, monkeypatch):
-        # a scan up to the first member would call contains about 10**18 times
+        # a scan up to the first member would test membership about 10**18 times
         def no_scan(self, n):
             raise AssertionError("membership scan")
 
-        monkeypatch.setattr(FiniteSet, "contains", no_scan)
+        monkeypatch.setattr(FiniteSet, "_has", no_scan)
         assert min_element(FiniteSet((10**18,))) == 10**18
         a = parse_set_spec("shift(1,finite:1000000000)")
-        assert a == Shifted(FiniteSet((10**9,)), 1)
+        assert a == shift_down(FiniteSet((10**9,)), 1)
         assert min_element(a) == 10**9 - 1
         misses = complement_prefix(parse_set_spec("complement(finite:2,1000000001)"), 3)
         assert misses == (2, 10**9 + 1)
 
 
 class TestDeepDescriptor:
-    def test_every_method_returns_at_the_cap(self):
-        # alternating shifts and complements collapse neither way, so each
-        # prefix is one more level that every method recurses through
+    def test_every_method_returns_at_the_cap(self, monkeypatch):
+        # alternating shifts and complements collapse neither way in the
+        # spec, but fold into one offset and one flag on the atom
         a = PowersOfTwo()
         for level in range(MAX_NESTING):
             a = complement(a) if level % 2 else shift_down(a, min_element(a))
@@ -340,3 +346,108 @@ class TestDeepDescriptor:
         assert a.next_value(0, member=False) == wide.index(0)
         assert eventual_form(a) is None
         assert hash(a) == hash(parse_set_spec(a.spec()))
+        calls = []
+        real = PowersOfTwo._next
+
+        def spy(self, x, member):
+            calls.append(x)
+            return real(self, x, member)
+
+        monkeypatch.setattr(PowersOfTwo, "_next", spy)
+        assert a.next_value(0) == 65535
+        assert calls == [a.offset]  # one atom call for all 64 prefixes
+
+
+# --- reference model: each prefix as a wrapper around its inner set ------
+
+WINDOW = 256  # leading positions of the final set that are compared
+SHIFT_CAP = 64  # largest drawn shift, so the shifts drop at most 4096 bits
+ATOM_BITS = WINDOW + MAX_NESTING * SHIFT_CAP
+FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+
+
+def atom_bits(atom):
+    """Memberships of 0 .. ATOM_BITS - 1, from the atom's definition."""
+    if isinstance(atom, PeriodicSet):
+        seq = atom.preperiod
+        while len(seq) < ATOM_BITS:
+            seq += atom.period
+        return bytes(c == "1" for c in seq[:ATOM_BITS])
+    if isinstance(atom, PowersOfTwo):
+        marks = {1 << j for j in range(1, ATOM_BITS.bit_length())}
+    else:
+        marks = set(atom.elements)
+    return bytes(n in marks for n in range(ATOM_BITS))
+
+
+def wrapper_spec(tree):
+    """The spec text of a nested ("complement", inner) / ("shift", inner, k) tree."""
+    if isinstance(tree, str):
+        return tree
+    if tree[0] == "complement":
+        return "nat" if tree[1] == "empty" else f"complement({wrapper_spec(tree[1])})"
+    return f"shift({tree[2]},{wrapper_spec(tree[1])})"
+
+
+def wrapper_model(atom, prefixes):
+    """Bits, wrapper tree and eventual form of the prefixes (innermost first;
+    None complements, k shifts by min(k, the least member)) around atom, the
+    way the wrapper classes built them: a complement flips every bit and
+    keeps the form, a shift drops the first k bits and lowers q by k."""
+    bits, tree = atom_bits(atom), atom.spec()
+    if isinstance(atom, PowersOfTwo):
+        form = None
+    elif isinstance(atom, PeriodicSet):
+        form = len(atom.preperiod), len(atom.period)
+    else:
+        form = (atom.elements[-1] + 1 if atom.elements else 0), 1
+    applied = []
+    for p in prefixes:
+        if p is None:
+            bits = bits.translate(FLIP)
+            tree = tree[1] if tree[0] == "complement" else ("complement", tree)
+        else:
+            if bits.find(1) == -1:
+                continue  # no member seen, so no shift is known to be valid
+            p = min(p, bits.find(1))
+            bits = bits[p:]
+            if p:
+                tree = ("shift", tree[1], tree[2] + p) if tree[0] == "shift" else ("shift", tree, p)
+                form = form and (max(form[0] - p, 0), form[1])
+        applied.append(p)
+    return bits, tree, form, applied
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.integers(0, 300), unique=True, max_size=8).map(lambda v: FiniteSet(tuple(sorted(v)))),
+        st.builds(PeriodicSet, st.text("01", max_size=8), st.text("01", min_size=1, max_size=8)),
+        st.just(PowersOfTwo()),
+    ),
+    st.lists(st.none() | st.integers(0, SHIFT_CAP), max_size=MAX_NESTING),
+    st.integers(1, WINDOW - 1),
+    st.integers(0, WINDOW - 1),
+)
+@example(PowersOfTwo(), [2, None, 1], 2, 40)  # shift(1,complement(shift(2,pow2)))
+def test_folded_descriptor_matches_wrapper_model(atom, prefixes, start, max_n):
+    bits, tree, form, applied = wrapper_model(atom, prefixes)
+    a = atom
+    for p in applied:
+        a = complement(a) if p is None else shift_down(a, p)
+    spec = wrapper_spec(tree)
+    assert a.spec() == spec
+    again = parse_set_spec(spec)
+    assert again == a and hash(again) == hash(a)
+    assert [a.contains(n) for n in range(WINDOW)] == list(map(bool, bits[:WINDOW]))
+    for k in range(WINDOW):
+        for member in (True, False):
+            i = bits.find(int(member), k)
+            got = a.next_value(k, member)
+            assert got == i if i != -1 else got is None or got >= len(bits), (k, member)
+    assert a.count(max_n) == sum(bits[: max_n + 1])
+    assert a.members(max_n) == [n for n in range(max_n + 1) if bits[n]]
+    start = min(start, max_n + 1)
+    assert a.membership_bytes(max_n, start) == bits[start : max_n + 1]
+    # core._plan reads the pair for its route and its budget charge
+    assert eventual_form(a) == form
