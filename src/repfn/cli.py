@@ -2,8 +2,8 @@
 
 Exit codes: 0 success or verified, 1 a verification found a violated
 assertion (or a witness could not be certified), 2 usage or set-spec
-error, 3 resource budget exceeded.  Reports go to stdout as exactly one
-CSV or JSON document; diagnostics go to stderr.
+error or an unwritable --out, 3 resource budget exceeded.  Reports go to
+stdout as exactly one CSV or JSON document; diagnostics go to stderr.
 
 `main` reads a plain command line, `<command> (--option value | --flag)*`
 with exact option strings, values that do not start with "-" and every
@@ -43,8 +43,11 @@ DEFAULT_WITNESS_SCAN = 512
 
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # main reports it as a usage error, exit 2
+            raise ValueError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -7,9 +7,9 @@ For a set A and n >= 0 the three counts are
     r3(A, n) = #{(a, b) in A x A : a + b = n, a < b}
 
 This module provides pointwise counting, the closed forms for the full set
-of non-negative integers, batch tables over [0, N], pair counting for
-sparse sets, and an inclusion-exclusion path that reaches large N when the
-complement of A is sparse.
+of non-negative integers, batch tables over [0, N] (r1 and the diagonal;
+r2 and r3 are derived when first read), pair counting for sparse sets, and
+inclusion-exclusion that reaches large N when A's complement is sparse.
 
 Batch tables get r1 from one of two strategies with identical results.
 `naive` is the oracle: a direct pair sum, done by `np.convolve` up to
@@ -46,6 +46,7 @@ those of "%d" formatting and of `json.dumps` on lists.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -133,14 +134,30 @@ def closed_form(kind: RepKind, n: int) -> int:
 
 @dataclass(frozen=True)
 class RepTable:
-    """The three count arrays over [0, max_n] for one set: read-only int64
-    arrays, r1 possibly the very array given to `table_from_r1`."""
+    """The counts over [0, max_n] for one set, all read-only: r1, maybe the array given to
+    `table_from_r1`, and the diagonal d; r2 = (r1 + d)/2 and r3 = r2 - d are derived on first read."""
 
     integer_set: IntegerSet
     max_n: int
     r1: np.ndarray
-    r2: np.ndarray
-    r3: np.ndarray
+    diagonal: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.r1.setflags(write=False)
+        self.diagonal.setflags(write=False)
+
+    @functools.cached_property
+    def r2(self) -> np.ndarray:
+        r2 = self.r1 + self.diagonal
+        r2 >>= 1
+        r2.setflags(write=False)
+        return r2
+
+    @functools.cached_property
+    def r3(self) -> np.ndarray:
+        r3 = self.r2 - self.diagonal
+        r3.setflags(write=False)
+        return r3
 
     @property
     def set_spec(self) -> str:
@@ -344,17 +361,6 @@ def _r1_periodic(mem: np.ndarray, q: int, p: int) -> np.ndarray:
     return r1
 
 
-def _derive_table(a: IntegerSet, r1: np.ndarray, d: np.ndarray) -> RepTable:
-    # r1 = 2*r3 + d and r2 = r3 + d, where d is the 0/1 diagonal indicator;
-    # r2 is halved in place, so the table allocates only r2 and r3
-    r2 = r1 + d
-    r2 >>= 1
-    r3 = r2 - d
-    for arr in (r1, r2, r3):
-        arr.setflags(write=False)
-    return RepTable(a, len(r1) - 1, r1, r2, r3)
-
-
 def _estimate_bytes(max_n: int, route: str | None = None) -> int:
     """Bytes a table up to max_n is charged on `route`, or with no route the
     most that any route open at that size is charged.  Past a fixed overhead
@@ -404,8 +410,8 @@ def batch_table(
     oracle at any N, a direct pair sum with no transform.  "auto" (the
     default) runs the route `_plan` reads from the descriptor, and the
     budget is checked against that route's charge before anything is
-    allocated.  r2 and r3 are derived from r1 and the diagonal indicator,
-    which keeps a single source of truth for the counts.
+    allocated.  The table derives r2 and r3 from r1 and the diagonal when
+    they are first read, which keeps a single source of truth for the counts.
     """
     _check_n(max_n)
     if strategy not in STRATEGIES:
@@ -426,7 +432,7 @@ def batch_table(
         r1 = _r1_periodic(mem, *form)
     else:
         r1 = _r1_fft(mem)
-    return _derive_table(a, r1, _diagonal(mem))
+    return RepTable(a, max_n, r1, _diagonal(mem))
 
 
 def sparse_r1(a: IntegerSet, max_n: int) -> dict[int, int]:
@@ -436,7 +442,7 @@ def sparse_r1(a: IntegerSet, max_n: int) -> dict[int, int]:
     _check_n(max_n)
     members = a.members(max_n)
     sums = Counter(x + y for x in members for y in members if x + y <= max_n)
-    return dict(sorted(sums.items()))
+    return {n: sums[n] for n in sorted(sums)}
 
 
 def r1_via_complement(a: IntegerSet, n: int) -> int:
@@ -454,8 +460,9 @@ def r1_array_via_complement(a: IntegerSet, max_n: int) -> np.ndarray:
     when the complement of a is sparse, since its pairs go to `sparse_r1`."""
     _check_n(max_n)
     misses = complement(a)
-    # each n adds 1 to n + 1 and each miss up to n takes 2 away: one int64 pass
-    r1 = np.cumsum(1 - 2 * membership_array(misses, max_n).view(np.int8), dtype=np.int64)
+    # each n adds 1 to n + 1 and each miss up to n takes 2 away: one int64 array, summed in place
+    r1 = np.subtract(1, 2 * membership_array(misses, max_n), dtype=np.int64)
+    np.cumsum(r1, out=r1)
     for n, pairs in sparse_r1(misses, max_n).items():
         r1[n] += pairs
     return r1
@@ -472,4 +479,4 @@ def table_from_r1(a: IntegerSet, r1: Sequence[int] | np.ndarray) -> RepTable:
     r1 = r1.astype(np.int64, copy=False)
     if r1.min() < 0:
         raise ValueError("r1 counts must be non-negative")
-    return _derive_table(a, r1, diagonal_indicator(a, len(r1) - 1))
+    return RepTable(a, len(r1) - 1, r1, diagonal_indicator(a, len(r1) - 1))

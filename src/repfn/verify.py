@@ -213,8 +213,8 @@ def suite_strategies(*, seed: int = pool.DEFAULT_SEED, corrupt: bool = False) ->
     max_n = 2**15
     sets = pool.mixed_pool(count, seed)
     bad = []
-    # a table derives r2 and r3 from r1 and the diagonal (`_derive_table`),
-    # so r1 alone decides whether two kernels' tables match
+    # a table holds r1 and the diagonal and derives r2 and r3 from them
+    # (`RepTable`), so r1 alone decides whether two kernels' tables match
     for i, a in enumerate(sets):
         mem = membership_array(a, max_n)
         naive_r1 = _r1_naive(mem)

@@ -55,6 +55,13 @@ class TestTable:
         assert code == 0 and out == ""
         assert path.read_text().startswith("n,r1,r2,r3")
 
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "t.csv"
+        code, out, err = run_cli(capsys, "table", "--set", "nat", "--max", "3", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_json_document_peaks_at_about_twice_its_length(self):
         # the arrays' texts and their one join; each further copy of them would add about 1x
         obj = batch_table(parse_set_spec("complement(pow2)"), 2**17).to_json_obj()
@@ -359,6 +366,14 @@ class TestVerify:
     def test_seed_recorded(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "diagram", "--seed", "123")
         assert json.loads(out)[0]["seed"] == 123
+
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path):
+        # the suite runs and passes; only its report cannot be written
+        path = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, "verify", "closed-forms", "--out", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_suite_rejected(self, capsys):
         assert run_cli(capsys, "verify", "nonsense")[0] == 2

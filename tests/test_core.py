@@ -141,8 +141,10 @@ class TestBatchTable:
 
     def test_tables_immutable(self):
         t = batch_table(parse_set_spec("pow2"), 10)
-        with pytest.raises(ValueError):
-            t.r1[0] = 99
+        for name in ("r1", "r2", "r3", "diagonal"):
+            with pytest.raises(ValueError):
+                getattr(t, name)[0] = 99
+        assert t.r2 is t.r2 and t.r3 is t.r3
 
     def test_budget_error_names_budget(self):
         with pytest.raises(BudgetExceededError) as err:
@@ -228,10 +230,12 @@ class TestFftKernel:
         [0, 1, 2, 16, 100, 512, 4096, 4097, 2**15, 2**16 - 1, 2**16, 100000, 2**17],
     )
     def test_estimate_covers_traced_peak(self, strategy, max_n):
+        # the charge pays for a table whose r2 and r3 are read, as `table` reads them
         a = parse_set_spec("complement(pow2)")
         tracemalloc.start()
         try:
-            batch_table(a, max_n, strategy)
+            t = batch_table(a, max_n, strategy)
+            t.r2, t.r3
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,7 +383,8 @@ class TestAutoRoutes:
             assert route == want
             tracemalloc.start()
             try:
-                batch_table(a, max_n)
+                t = batch_table(a, max_n)
+                t.r2, t.r3
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -388,6 +393,22 @@ class TestAutoRoutes:
                 assert charge <= 2 * peak, (route, max_n)
             if route != "fft" and max_n == 2**17:
                 assert peak <= table_ceiling(max_n), route
+
+    @pytest.mark.parametrize(
+        "spec", [spec for spec, _ in ROUTED[::2]] + ["sparse-limit", "co-sparse-limit", "periodic-limit"]
+    )
+    def test_r1_report_derives_no_r2_or_r3(self, spec):
+        # r1 and the diagonal are 9 bytes per entry and a route's scratch up to
+        # 8 more (the membership byte, a pair map); an r2 or r3 array adds 8
+        max_n = 2**17
+        a = limit_set(spec.removesuffix("-limit"), max_n) if spec.endswith("-limit") else parse_set_spec(spec)
+        tracemalloc.start()
+        try:
+            find_violations(batch_table(a, max_n), RepKind.R1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * (max_n + 1) + core._FIXED_BYTES, core._plan(a, max_n, "auto")[0]
 
 
 class TestSubsetMonotonicity:
@@ -442,6 +463,17 @@ class TestComplementPath:
     def test_array_form_empty_misses(self):
         assert r1_array_via_complement(parse_set_spec("nat"), 5).tolist() == [1, 2, 3, 4, 5, 6]
 
+    def test_array_form_holds_one_int64_array(self):
+        # the miss bytes and r1 are 9 bytes per entry; an int64 temporary would add 8
+        a, max_n = complement(PowersOfTwo()), 2**20
+        tracemalloc.start()
+        try:
+            r1_array_via_complement(a, max_n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * (max_n + 1) + core._FIXED_BYTES
+
     def test_scalar_form_reads_misses_from_descriptor(self):
         a = parse_set_spec("complement(pow2)")
         r1_via_complement(a, 10)
@@ -483,7 +515,7 @@ class TestComplementPath:
             table_from_r1(parse_set_spec("nat"), r1)
 
     def test_density_one_suite_holds_one_r1_and_its_table(self):
-        # r1, r2 and r3 over 2^20 + 1 entries are 24 MiB; a fourth int64 array would pass 28
+        # r1 and the diagonal over 2^20 + 1 entries are 9 MiB; r2 or r3 would pass 12
         tracemalloc.start()
         try:
             checks = suite_density_one()
@@ -491,7 +523,7 @@ class TestComplementPath:
         finally:
             tracemalloc.stop()
         assert all(c.passed for c in checks)
-        assert peak <= 28 * 2**20
+        assert peak <= 12 * 2**20
 
 
 class TestSparseR1:

@@ -2,9 +2,10 @@
 
 `benchmarks/digests.json` holds, for the default seed of each request-list
 workload, a digest of the request list and one digest of stdout per
-request.  The benchmark refuses a run whose stdout differs from them; this
-test runs the same requests in-process, so a change to that stdout fails
-tier-1 as well.  It only reads `benchmarks/`.
+request, and for `verify all` one digest of its stdout with the suite
+timings zeroed.  The benchmark refuses a run whose stdout differs from
+them; these tests run the same commands in-process, so a change to that
+stdout fails tier-1 as well.  They only read `benchmarks/`.
 """
 
 import json
@@ -12,6 +13,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repfn import cli
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks"
 if str(BENCH) not in sys.path:
@@ -39,4 +42,17 @@ def test_stdout_matches_recorded_digests(workload):
     assert len(got) == len(recorded["stdout_sha256"]) and not differ, (
         f"{len(differ)} of {len(got)} {workload} responses differ from the recorded stdout, "
         f"first {list(reqs[differ[0]].argv) if differ else None}"
+    )
+
+
+def test_verify_all_stdout_matches_recorded_digest(capsys):
+    recorded = RECORDED["verify-all"]
+    assert recorded["argv_sha256"] == bench_run.argv_digest([bench_run.VERIFY_ARGV]), (
+        "the verify-all command line changed, so its recorded stdout digest must be recorded again"
+    )
+    assert cli.main(["verify", "all"]) == 0
+    got = bench_run.verify_digest(capsys.readouterr().out)
+    assert got == recorded["stdout_sha256"][0], (
+        f"verify all stdout, with elapsed_seconds zeroed, digests to {got}, not to the recorded "
+        f"{recorded['stdout_sha256'][0]}"
     )
